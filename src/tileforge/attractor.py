@@ -20,7 +20,9 @@ eigenvalue m certifies positive overlap.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,14 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .lattice import (
-    as_int_matrix,
-    frac_mat_mul,
-    frac_mat_vec,
-    inverse_fractions,
-    mat_pow,
-    mat_vec,
-)
+from .lattice import as_int_matrix, inverse_power, mat_pow, mat_vec
 
 DEFAULT_MAX_CELLS = 5_000_000
 
@@ -120,45 +115,34 @@ def bounding_box(matrix, shifts):
 _BOX_CACHE: dict = {}
 
 
-def _adjugate(matrix):
-    """Integer matrix with matrix^{-1} = adjugate / det."""
-    d = lattice.det(matrix)
-    minv = inverse_fractions(matrix)
-    adj = tuple(tuple(x * d for x in row) for row in minv)
-    assert all(x.denominator == 1 for row in adj for x in row)
-    return tuple(tuple(int(x) for x in row) for row in adj), d
-
-
 def _bounding_box_exact(matrix, shifts):
     """Scaled-integer evaluation of the coordinate series with certified tail.
 
-    M^{-j} = adj^j / det^j, so all level sums are integers over det^j and
-    only the per-coordinate accumulators are Fractions.
+    M^{-j} = P^j / q^j with (P, q) = inverse_power(M, 1), so all level sums
+    are integers over q^j and only the per-coordinate accumulators are
+    Fractions.
     """
     key = (matrix, shifts)
     if key in _BOX_CACHE:
         return _BOX_CACHE[key]
     d = len(matrix)
-    adj, det = _adjugate(matrix)
-    smax = max((max(abs(Fraction(x)) for x in s) for s in shifts), default=Fraction(0))
+    step, q1 = inverse_power(matrix, 1)
+    smax = max(abs(x) for s in shifts for x in s)
     lo = [Fraction(0)] * d
     hi = [Fraction(0)] * d
-    power = adj
-    den = det
+    power, q = step, q1
     norm_sum = Fraction(0)
     half = Fraction(1, 2)
     j = 0
     halved = False
     while True:
         j += 1
-        aden = abs(den)
-        sgn = 1 if den > 0 else -1
         imgs = [mat_vec(power, s) for s in shifts]
         for i in range(d):
-            vals = [sgn * v[i] for v in imgs]
-            lo[i] += Fraction(min(vals), aden)
-            hi[i] += Fraction(max(vals), aden)
-        norm = Fraction(max(sum(abs(x) for x in row) for row in power), aden)
+            vals = [v[i] for v in imgs]
+            lo[i] += Fraction(min(vals), q)
+            hi[i] += Fraction(max(vals), q)
+        norm = Fraction(max(sum(abs(x) for x in row) for row in power), q)
         norm_sum += norm
         if norm <= half:
             halved = True
@@ -172,8 +156,8 @@ def _bounding_box_exact(matrix, shifts):
                 return box
         if j >= 200 and not halved:
             raise ValueError("matrix does not appear to be expanding")
-        power = lattice.mat_mul(power, adj)
-        den *= det
+        power = lattice.mat_mul(power, step)
+        q *= q1
 
 
 def _bounding_box_float(matrix, shifts):
@@ -224,16 +208,6 @@ class AttractorApprox:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def real_points(self):
-        """Cells mapped back to attractor coordinates through M^{-depth}."""
-        if self.is_integer:
-            minv = inverse_fractions(self.matrix)
-            a = _frac_power(minv, self.depth)
-            return [frac_mat_vec(a, z) for z in self.cells]
-        a = np.linalg.matrix_power(np.linalg.inv(np.array(self.matrix, float)),
-                                   self.depth)
-        return [tuple(a @ np.array(z)) for z in self.cells]
-
     def to_json(self) -> dict:
         """JSON-ready cell list: matrix, shifts, depth and the cells."""
         return {
@@ -244,16 +218,11 @@ class AttractorApprox:
         }
 
 
-def _frac_power(minv, k):
-    d = len(minv)
-    out = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
-    for _ in range(k):
-        out = frac_mat_mul(out, minv)
-    return out
-
-
 _LEVEL_CACHE: dict = {}
 _LEVEL_CACHE_LIMIT = 24
+#: Guards _LEVEL_CACHE and the level lists in it; extending a list from two
+#: threads at once would shift the level indices.
+_LEVEL_LOCK = threading.Lock()
 
 
 def _levels(matrix, shifts):
@@ -267,30 +236,37 @@ def _levels(matrix, shifts):
 
 def _cells_at(matrix, shifts, depth, is_integer, max_cells):
     """Frontier construction: level t+1 = {M z + s}, deduplicated."""
-    levels = _levels(matrix, shifts)
     d = len(matrix)
+    # M z is formed once per cell, then each shift is added to it.
     if is_integer:
-        def step(z, s):
-            return tuple(
-                sum(matrix[i][j] * z[j] for j in range(d)) + s[i] for i in range(d)
-            )
+        def image(z):
+            return [sum(map(operator.mul, row, z)) for row in matrix]
+
+        def add(y, s):
+            return tuple(map(operator.add, y, s))
     else:
         mat = np.array(matrix, dtype=float)
 
-        def step(z, s):
-            y = mat @ np.array(z, dtype=float)
+        def image(z):
+            return mat @ np.array(z, dtype=float)
+
+        def add(y, s):
             return tuple(round(y[i] + s[i], 12) for i in range(d))
 
-    while len(levels) <= depth:
-        prev = levels[-1]
-        if len(prev) * len(shifts) > max_cells:
-            raise ResourceLimitError(
-                f"depth {len(levels)} needs up to {len(prev) * len(shifts)} cells, "
-                f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
-            )
-        nxt = frozenset(step(z, s) for z in prev for s in shifts)
-        levels.append(nxt)
-    return levels[depth]
+    with _LEVEL_LOCK:
+        levels = _levels(matrix, shifts)
+        # The budget is checked per level whether or not the level is cached.
+        for t in range(1, depth + 1):
+            prev = levels[t - 1]
+            if len(prev) * len(shifts) > max_cells:
+                raise ResourceLimitError(
+                    f"depth {t} needs up to {len(prev) * len(shifts)} cells, "
+                    f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
+                )
+            if t == len(levels):
+                levels.append(frozenset(add(y, s) for y in map(image, prev)
+                                        for s in shifts))
+        return levels[depth]
 
 
 def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
@@ -343,16 +319,8 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
         while len(sh) ** (level + 1) <= 512:
             level += 1
     cells = _cells_at(m, sh, level, True, max_cells_budget())
-    # Scaled integers: M^{-level} = sn / q with sn integral, q = |det|^level.
-    adj, det = _adjugate(m)
-    power = adj
-    den = det
-    for _ in range(level - 1):
-        power = lattice.mat_mul(power, adj)
-        den *= det
-    sgn = 1 if den > 0 else -1
-    q = abs(den)
-    sn = [[sgn * power[i][j] for j in range(d)] for i in range(d)]
+    # Scaled integers: M^{-level} = sn / q.
+    sn, q = inverse_power(m, level)
     r = 1
     for x in (*lo, *hi):
         r = r * x.denominator // math.gcd(r, x.denominator)
@@ -536,7 +504,8 @@ _TILE_REPORT_CACHE: dict = {}
 
 
 def _tile_report_cached(matrix, digits) -> "TileReport":
-    key = (matrix, digits)
+    # The report does not depend on the order of the digits.
+    key = (matrix, tuple(sorted(digits)))
     if key not in _TILE_REPORT_CACHE:
         if len(_TILE_REPORT_CACHE) >= 256:
             _TILE_REPORT_CACHE.pop(next(iter(_TILE_REPORT_CACHE)))
@@ -638,12 +607,13 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
         for g in cover:
             for z in approx.cells:
                 touched.add(tuple(z[i] + g[i] for i in range(d)))
-    minv = inverse_fractions(approx.matrix)
-    a = _frac_power(minv, approx.depth)
-    # Interval of the mapped unit cell A(c + [0,1]^d) along coordinate i is
-    # [base_i + row_neg_i, base_i + row_pos_i].
-    row_neg = [sum(min(a[i][j], 0) for j in range(d)) for i in range(d)]
-    row_pos = [sum(max(a[i][j], 0) for j in range(d)) for i in range(d)]
+    # With M^-depth = P / q, the mapped unit cell M^-depth(c + [0,1]^d) spans
+    # [(P c)_i + row_neg_i, (P c)_i + row_pos_i] / q along coordinate i.
+    p, q = inverse_power(approx.matrix, approx.depth)
+    row_neg = [sum(min(x, 0) for x in row) for row in p]
+    row_pos = [sum(max(x, 0) for x in row) for row in p]
+    q_lo = [q * lo for lo, _ in window]
+    q_hi = [q * hi for _, hi in window]
     # Candidate sample cells from the corners of M^depth(window).
     mk = mat_pow(approx.matrix, approx.depth)
     corners = [mat_vec(mk, c) for c in product(*[(lo, hi) for lo, hi in window])]
@@ -651,9 +621,9 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
               for i in range(d)]
     samples = []
     for c in product(*ranges):
-        base = frac_mat_vec(a, c)
-        if all(window[i][0] <= base[i] + row_neg[i]
-               and base[i] + row_pos[i] <= window[i][1] for i in range(d)):
+        base = mat_vec(p, c)
+        if all(q_lo[i] <= base[i] + row_neg[i]
+               and base[i] + row_pos[i] <= q_hi[i] for i in range(d)):
             samples.append(c)
     if not samples:
         raise ValueError("window too small: no unit cell fits inside it at this depth")
@@ -699,6 +669,28 @@ class Raster:
         return int(np.count_nonzero(self.occupancy))
 
 
+def grid_indices(approx: AttractorApprox, resolution: int, origin):
+    """floor((M^-depth z - origin) * resolution) for every cell z, exactly.
+
+    With M^-depth = P / q (lattice.inverse_power) and the origin written as
+    a / b over one common denominator b, coordinate i of cell z is
+    ((P z)_i * b * R - a_i * q * R) // (q * b): plain integers of any size.
+    `origin` entries may be ints, Fractions or floats (taken exactly).
+    Returns one list per coordinate, holding the indices of the cells in
+    cell order.
+    """
+    if not approx.is_integer:
+        raise ValueError("exact grid indices require integer data")
+    p, q = inverse_power(approx.matrix, approx.depth)
+    origin = [Fraction(x) for x in origin]
+    b = math.lcm(*(x.denominator for x in origin))
+    rows = [[x * b * resolution for x in row] for row in p]
+    offsets = [x.numerator * (b // x.denominator) * q * resolution for x in origin]
+    den = q * b
+    return [[(sum(map(operator.mul, row, z)) - off) // den for z in approx.cells]
+            for row, off in zip(rows, offsets)]
+
+
 def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
     """Mark the raster cells hit by the real-mapped cells of the approximation.
 
@@ -721,15 +713,11 @@ def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
         extent.append(max(int(n), 1))
     occupancy = np.zeros(tuple(extent), dtype=np.int64)
     if approx.is_integer:
-        minv = inverse_fractions(approx.matrix)
-        a = _frac_power(minv, approx.depth)
-        for z in approx.cells:
-            x = frac_mat_vec(a, z)
-            idx = []
-            for i in range(d):
-                k = int(((x[i] - lo[i]) * resolution) // 1)
-                idx.append(min(max(k, 0), extent[i] - 1))
-            occupancy[tuple(idx)] += 1
+        # Clamp as Python ints (object arrays): far from a caller's box the
+        # indices can exceed int64.
+        idx = tuple(np.clip(np.array(col, dtype=object), 0, e - 1).astype(np.int64)
+                    for col, e in zip(grid_indices(approx, resolution, lo), extent))
+        np.add.at(occupancy, idx, 1)
     else:
         a = np.linalg.matrix_power(np.linalg.inv(np.array(approx.matrix, float)),
                                    approx.depth)

@@ -55,13 +55,6 @@ class BoxForm:
         if prod < 2:
             raise ValueError("not all p_i may equal 1 (the matrix would not expand)")
 
-    @property
-    def determinant(self) -> int:
-        prod = 1
-        for x in self.p:
-            prod *= x
-        return prod * (self.sign if len(self.p) % 2 else self.sign)
-
 
 def build_cyclic_matrix(form: BoxForm):
     """The cyclic matrix with superdiagonal p_1..p_{n-1} and corner sign*p_n."""

@@ -100,6 +100,13 @@ def _validate_spec(spec):
     return spec
 
 
+def _integral(x):
+    """int(x), refusing the non-integral floats that int() would truncate."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"entry {x!r} is not an integer")
+    return int(x)
+
+
 def _matrix_digits_from(args, need_digits=True):
     """Matrix and digit/shift set from --spec plus inline flags (flags win)."""
     spec = {}
@@ -120,9 +127,9 @@ def _matrix_digits_from(args, need_digits=True):
     if need_digits and digits is None:
         raise InputError("a digit/shift set is required (--digits or --spec)")
     try:
-        matrix = [[int(x) for x in row] for row in matrix]
+        matrix = [[_integral(x) for x in row] for row in matrix]
         digits = [tuple(v) if hasattr(v, "__len__") else (v,) for v in digits]
-        digits = [tuple(int(x) for x in v) for v in digits]
+        digits = [tuple(_integral(x) for x in v) for v in digits]
     except (TypeError, ValueError) as exc:
         raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
     params = spec.get("params", {}) if spec else {}
@@ -164,7 +171,8 @@ def cmd_tile_check(args) -> int:
     depth = args.depth or int(params.get("depth", 10))
     if not lattice.validate_digits(matrix, digits):
         raise InputError("digits are not a residue system for the matrix")
-    report = attractor.tile_check_exact(matrix, digits)
+    # measure_upper and shift_cover_layers read the same cached report.
+    report = attractor._tile_report_cached(lattice.as_int_matrix(matrix), tuple(digits))
     mu = attractor.measure_upper(matrix, digits, depth)
     approx = attractor.approximate(matrix, digits, depth)
     hist = attractor.shift_cover_layers(approx)
@@ -218,25 +226,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.astype(np.uint8).tobytes())
 
 
-def _raster_indices(approx, resolution):
-    """Occupied global raster cells floor(x * resolution), exact arithmetic."""
-    d = approx.dim
-    cells = []
-    if approx.is_integer:
-        minv = lattice.inverse_fractions(approx.matrix)
-        a = attractor._frac_power(minv, approx.depth)
-        for z in approx.cells:
-            x = lattice.frac_mat_vec(a, z)
-            cells.append(tuple(int((x[i] * resolution) // 1) for i in range(d)))
-    else:
-        a = np.linalg.matrix_power(
-            np.linalg.inv(np.array(approx.matrix, float)), approx.depth)
-        for z in approx.cells:
-            x = a @ np.array(z, float)
-            cells.append(tuple(int(v) for v in np.floor(x * resolution)))
-    return set(cells)
-
-
 def cmd_tile_render(args) -> int:
     matrix, shifts, params = _matrix_digits_from(args)
     depth = args.depth or int(params.get("depth", 12))
@@ -244,7 +233,7 @@ def cmd_tile_render(args) -> int:
     if len(matrix) != 2:
         raise InputError("render supports two-dimensional systems")
     approx = attractor.approximate(matrix, shifts, depth)
-    base = _raster_indices(approx, resolution)
+    base = set(zip(*attractor.grid_indices(approx, resolution, (0, 0))))
     if args.tiling:
         window = _parse_window(args.tiling)
         if len(window) != 2:

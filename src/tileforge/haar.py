@@ -245,8 +245,9 @@ def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
 def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     """Piece index of every raster cell center over the bounding-box grid.
 
-    Returns (piece array, cell volume).  Centers are exact rationals
-    x_i = lo_i + (2 j + 1) / (2 R), so the classification is deterministic.
+    Returns (piece array, cell volume).  Sample j along axis i sits at
+    int(lo_i * 2R + 2j + 1) / 2R, the cell center truncated toward zero to
+    the 1/2R grid, so the classification is deterministic.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -254,12 +255,15 @@ def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     d = len(system.matrix)
     counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
     cls = _PieceClassifier(system, depth)
-    lo_fr = [Fraction(x) for x in lo]
     den = 2 * resolution
+    axes = []
+    for lo_i, c in zip(lo, counts):
+        a, b = (lo_i * den).as_integer_ratio()
+        # int() of (a + (2j + 1) b) / b: truncation toward zero.
+        axes.append([t // b if t >= 0 else -(-t // b)
+                     for t in (a + (2 * j + 1) * b for j in range(c))])
     pieces = np.full(counts, -1, dtype=np.int32)
-    for idx in product(*[range(c) for c in counts]):
-        num = tuple(int((lo_fr[i] + Fraction(2 * idx[i] + 1, den)) * den)
-                    for i in range(d))
+    for idx, num in zip(product(*[range(c) for c in counts]), product(*axes)):
         pieces[idx] = cls.piece_of(num, den)
     return pieces, float(resolution) ** (-d)
 
@@ -287,13 +291,17 @@ def raster_gram(system: HaarSystem, resolution: int = 64, depth: int = 12):
     fraction (samples on piece boundaries) is the resolution-limited part
     of the quadrature error.
     """
+    gram, edge = _raster_products(system, resolution, depth)
+    return gram[1:, 1:], edge
+
+
+def _raster_products(system: HaarSystem, resolution: int, depth: int):
+    """Raster Gram matrix of (scaling, psi_1, ..., psi_{m-1}), and the edge fraction."""
     pieces, cell_vol = _sample_pieces(system, resolution, depth)
-    n = system.generator_count
-    coeff = np.array([[c for _, c in row] for row in system.pieces])
-    gram = np.zeros((n, n))
-    flat = pieces.ravel()
-    for k in range(system.m):
-        count = int(np.count_nonzero(flat == k))
+    coeff = np.array([[1.0] * system.m] + [[c for _, c in row] for row in system.pieces])
+    gram = np.zeros((system.m, system.m))
+    counts = np.bincount(pieces[pieces >= 0], minlength=system.m)
+    for k, count in enumerate(counts.tolist()):
         if count:
             vals = coeff[:, k]
             gram += count * np.outer(vals, vals)
@@ -314,25 +322,8 @@ def inner_product(system: HaarSystem, i: int, j: int, method: str = "auto",
         return exact_inner(system, i, j)
     if method != "raster":
         raise ValueError(f"unknown method {method!r}")
-    if i == 0 or j == 0:
-        return _raster_inner_scaling(system, i, j, resolution, depth)
-    gram, _ = raster_gram(system, resolution, depth)
-    return float(gram[i - 1][j - 1])
-
-
-def _raster_inner_scaling(system, i, j, resolution, depth):
-    pieces, cell_vol = _sample_pieces(system, resolution, depth)
-    coeff = np.array([[c for _, c in row] for row in system.pieces])
-    total = 0.0
-    flat = pieces.ravel()
-    for k in range(system.m):
-        count = int(np.count_nonzero(flat == k))
-        if not count:
-            continue
-        v_i = 1.0 if i == 0 else coeff[i - 1][k]
-        v_j = 1.0 if j == 0 else coeff[j - 1][k]
-        total += count * v_i * v_j
-    return total * cell_vol
+    gram, _ = _raster_products(system, resolution, depth)
+    return float(gram[i][j])
 
 
 def shift_orthonormality(matrix, digits, window: int = 1, depth: int = 12) -> float:

@@ -60,10 +60,6 @@ def as_int_vector(v, dim=None):
     return vec
 
 
-def dim_of(matrix) -> int:
-    return len(matrix)
-
-
 def det(matrix) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
     m = [list(row) for row in as_int_matrix(matrix)]
@@ -134,9 +130,33 @@ def inverse_fractions(matrix):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def frac_mat_vec(matrix, v):
-    """Fraction matrix times vector (entries may be int or Fraction)."""
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
+def inverse_power(matrix, k: int):
+    """Integer matrix P and integer q > 0 with M^-k = P / q, k >= 0.
+
+    M^-1 = adj(M) / det(M), so M^-k = adj^k / det^k; the sign of det^k is
+    folded into P.  The exact maps by M^-k in the package (rasters, covers,
+    bounding boxes, residues) use this pair, so floors and comparisons of
+    M^-k z stay in plain integers.
+    """
+    m = as_int_matrix(matrix)
+    n = len(m)
+    d = det(m)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    if n == 1:
+        adj = ((1,),)
+    else:
+        adj = tuple(
+            tuple((-1) ** (i + j) * det([row[:i] + row[i + 1:]
+                                         for r, row in enumerate(m) if r != j])
+                  for j in range(n))
+            for i in range(n))
+    p = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for _ in range(k):
+        p = mat_mul(p, adj)
+    if d < 0 and k % 2:
+        p = tuple(tuple(-x for x in row) for row in p)
+    return p, abs(d) ** k
 
 
 def frac_mat_mul(a, b):
@@ -145,11 +165,6 @@ def frac_mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def inf_norm(matrix) -> Fraction:
-    """Max absolute row sum; exact when entries are Fractions."""
-    return max(sum(abs(x) for x in row) for row in matrix)
 
 
 def is_expanding(matrix, eig_tol: float = EIG_TOL) -> bool:
@@ -167,6 +182,12 @@ def is_expanding(matrix, eig_tol: float = EIG_TOL) -> bool:
     return bool(np.min(np.abs(eigvals)) > 1.0 + eig_tol)
 
 
+def _residue(m, p, q, v):
+    """v minus M floor(M^-1 v), with M^-1 = p / q."""
+    z = tuple(x // q for x in mat_vec(p, v))
+    return tuple(vi - x for vi, x in zip(v, mat_vec(m, z)))
+
+
 def residue_of(matrix, v):
     """Canonical representative of v modulo M Z^d.
 
@@ -176,13 +197,8 @@ def residue_of(matrix, v):
     floor((M^{-1} v)_i).
     """
     m = as_int_matrix(matrix)
-    if det(m) == 0:
-        raise SingularMatrixError("residues are undefined for a singular matrix")
-    v = as_int_vector(v, dim=len(m))
-    minv = inverse_fractions(m)
-    y = frac_mat_vec(minv, v)
-    z = tuple(int(c // 1) for c in y)  # Fraction floor, exact
-    return tuple(v[i] - x for i, x in enumerate(mat_vec(m, z)))
+    p, q = inverse_power(m, 1)
+    return _residue(m, p, q, as_int_vector(v, dim=len(m)))
 
 
 def residue_system(matrix):
@@ -193,20 +209,17 @@ def residue_system(matrix):
     """
     m = as_int_matrix(matrix)
     d = len(m)
-    if det(m) == 0:
-        raise SingularMatrixError("no residue system for a singular matrix")
-    minv = inverse_fractions(m)
+    p, q = inverse_power(m, 1)
     # Bounding box of the parallelepiped M [0,1)^d from its corners.
     corners = [mat_vec(m, c) for c in product((0, 1), repeat=d)]
     lo = [min(c[i] for c in corners) for i in range(d)]
     hi = [max(c[i] for c in corners) for i in range(d)]
     digits = []
     for r in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
-        y = frac_mat_vec(minv, r)
-        if all(0 <= c < 1 for c in y):
+        if all(0 <= c < q for c in mat_vec(p, r)):
             digits.append(r)
     digits.sort()
-    assert len(digits) == abs(det(m))
+    assert len(digits) == q
     return tuple(digits)
 
 
@@ -224,9 +237,10 @@ def validate_digits(matrix, digits) -> bool:
         ds = [as_int_vector(v, dim=d) for v in digits]
     except ValueError:
         return False
-    if len(ds) != abs(det(m)):
+    p, q = inverse_power(m, 1)
+    if len(ds) != q:
         return False
     if tuple([0] * d) not in ds:
         return False
-    residues = {residue_of(m, v) for v in ds}
+    residues = {_residue(m, p, q, v) for v in ds}
     return len(residues) == len(ds)

@@ -1,6 +1,8 @@
 """Attractor approximation, measure bounds, the tile test, layers, rasters."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +55,37 @@ def test_approximate_rejects_non_expanding():
 def test_approximate_resource_cap():
     with pytest.raises(ResourceLimitError):
         approximate([[2]], [(0,), (1,)], 40, max_cells=1000)
+
+
+def test_approximate_budget_holds_for_cached_levels():
+    approximate([[2]], [(0,), (5,)], 10)
+    with pytest.raises(ResourceLimitError):
+        approximate([[2]], [(0,), (5,)], 10, max_cells=10)
+
+
+def test_approximate_concurrent_depths():
+    # Eight threads extending one fresh level list to depths 10..12.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            attractor._LEVEL_CACHE.pop((DRAGON_M, DRAGON_D), None)
+            counts = {}
+
+            def work(i):
+                depth = 10 + i % 3
+                counts[i] = (depth, len(approximate(DRAGON_M, DRAGON_D, depth).cells))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(counts) == list(range(8))
+            assert all(n == 2 ** depth for depth, n in counts.values())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_approximate_real_shifts():

@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from tileforge import attractor
 from tileforge.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -263,3 +265,47 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     code, _ = run(capsys, "tile", "measure",
                   "--matrix", "[[2]]", "--digits", "[[0],[3]]", "--depth", "20")
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ("tile", "check", "--matrix", "[[1.5,1],[-1,1]]", "--digits", "[[0,0],[1,0]]"),
+    ("tile", "check", "--matrix", "[[1,1],[-1,1]]", "--digits", "[[0,0],[1.7,0]]"),
+    ("tile", "render", "--matrix", "[[1,1],[-1,1]]", "--shifts", "[[0,0],[1,0.5]]",
+     "--out", "never.ppm"),
+], ids=["matrix", "digits", "shifts"])
+def test_non_integral_flag_entry_is_input_error(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, *flags)
+    assert code == 2
+    assert not (tmp_path / "never.ppm").exists()
+
+
+def test_non_integral_spec_entry_is_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "attractor", "matrix": [[2.5]],
+                                "digits": [[0], [1]]}))
+    code, _ = run(capsys, "tile", "check", "--spec", str(path))
+    assert code == 2
+
+
+def test_integral_float_entries_are_accepted(capsys):
+    code, report = run_json(capsys, "tile", "check", "--matrix", "[[2.0]]",
+                            "--digits", "[[0],[1.0]]", "--depth", "4")
+    assert code == 0 and report["matrix"] == [[2]]
+
+
+def test_tile_check_builds_contact_matrix_once(capsys, monkeypatch):
+    calls = []
+    real = attractor.contact_matrix
+
+    def counting(matrix, digits):
+        calls.append(matrix)
+        return real(matrix, digits)
+
+    monkeypatch.setattr(attractor, "contact_matrix", counting)
+    monkeypatch.setattr(attractor, "_TILE_REPORT_CACHE", {})
+    # Unsorted digits: the cached report is shared with the sorted shift set.
+    code, _ = run(capsys, "tile", "check", "--matrix", "[[1,1],[-1,1]]",
+                  "--digits", "[[1,0],[0,0]]", "--depth", "6")
+    assert code == 0
+    assert len(calls) == 1
