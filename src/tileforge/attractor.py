@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -112,9 +112,7 @@ def bounding_box(matrix, shifts):
     return _bounding_box_float(m, sh)
 
 
-_BOX_CACHE: dict = {}
-
-
+@lru_cache(maxsize=256)
 def _bounding_box_exact(matrix, shifts):
     """Scaled-integer evaluation of the coordinate series with certified tail.
 
@@ -122,9 +120,6 @@ def _bounding_box_exact(matrix, shifts):
     are integers over q^j and only the per-coordinate accumulators are
     Fractions.
     """
-    key = (matrix, shifts)
-    if key in _BOX_CACHE:
-        return _BOX_CACHE[key]
     d = len(matrix)
     step, q1 = inverse_power(matrix, 1)
     smax = max(abs(x) for s in shifts for x in s)
@@ -149,11 +144,7 @@ def _bounding_box_exact(matrix, shifts):
             # tail of the norm series is at most norm * (2 * norm_sum)
             tail = norm * 2 * norm_sum * smax
             if tail <= Fraction(1, 64) or j >= 200:
-                box = (tuple(x - tail for x in lo), tuple(x + tail for x in hi))
-                if len(_BOX_CACHE) >= 256:
-                    _BOX_CACHE.pop(next(iter(_BOX_CACHE)))
-                _BOX_CACHE[key] = box
-                return box
+                return tuple(x - tail for x in lo), tuple(x + tail for x in hi)
         if j >= 200 and not halved:
             raise ValueError("matrix does not appear to be expanding")
         power = lattice.mat_mul(power, step)
@@ -218,25 +209,12 @@ class AttractorApprox:
         }
 
 
-_LEVEL_CACHE: dict = {}
-_LEVEL_CACHE_LIMIT = 24
-#: Guards _LEVEL_CACHE and the level lists in it; extending a list from two
-#: threads at once would shift the level indices.
-_LEVEL_LOCK = threading.Lock()
-
-
-def _levels(matrix, shifts):
-    key = (matrix, shifts)
-    if key not in _LEVEL_CACHE:
-        if len(_LEVEL_CACHE) >= _LEVEL_CACHE_LIMIT:
-            _LEVEL_CACHE.pop(next(iter(_LEVEL_CACHE)))
-        _LEVEL_CACHE[key] = [frozenset([tuple([0] * len(matrix))])]
-    return _LEVEL_CACHE[key]
-
-
-def _cells_at(matrix, shifts, depth, is_integer, max_cells):
-    """Frontier construction: level t+1 = {M z + s}, deduplicated."""
+@lru_cache(maxsize=96)
+def _level(matrix, shifts, t, is_integer):
+    """Frontier level t: {0} at t = 0, then {M z + s : z in level t-1}."""
     d = len(matrix)
+    if t == 0:
+        return frozenset([tuple([0] * d)])
     # M z is formed once per cell, then each shift is added to it.
     if is_integer:
         def image(z):
@@ -253,20 +231,21 @@ def _cells_at(matrix, shifts, depth, is_integer, max_cells):
         def add(y, s):
             return tuple(round(y[i] + s[i], 12) for i in range(d))
 
-    with _LEVEL_LOCK:
-        levels = _levels(matrix, shifts)
-        # The budget is checked per level whether or not the level is cached.
-        for t in range(1, depth + 1):
-            prev = levels[t - 1]
-            if len(prev) * len(shifts) > max_cells:
-                raise ResourceLimitError(
-                    f"depth {t} needs up to {len(prev) * len(shifts)} cells, "
-                    f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
-                )
-            if t == len(levels):
-                levels.append(frozenset(add(y, s) for y in map(image, prev)
-                                        for s in shifts))
-        return levels[depth]
+    prev = _level(matrix, shifts, t - 1, is_integer)
+    return frozenset(add(y, s) for y in map(image, prev) for s in shifts)
+
+
+def _cells_at(matrix, shifts, depth, is_integer, max_cells):
+    """Cells at `depth`, built level by level within the cell budget."""
+    # The budget is checked per level whether or not the level is cached.
+    for t in range(1, depth + 1):
+        need = len(_level(matrix, shifts, t - 1, is_integer)) * len(shifts)
+        if need > max_cells:
+            raise ResourceLimitError(
+                f"depth {t} needs up to {need} cells, "
+                f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
+            )
+    return _level(matrix, shifts, depth, is_integer)
 
 
 def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
@@ -293,9 +272,6 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
 # unit-cell covers
 # ---------------------------------------------------------------------------
 
-_COVER_CACHE: dict = {}
-
-
 def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     """Integer unit cells meeting the attractor in positive measure (superset).
 
@@ -309,9 +285,11 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     sh, s_int = _freeze_shifts(shifts, len(m))
     if not (m_int and s_int):
         raise ValueError("unit-cell covers require integer data")
-    key = (m, sh, level)
-    if key in _COVER_CACHE:
-        return _COVER_CACHE[key]
+    return _unit_cell_cover(m, sh, level)
+
+
+@lru_cache(maxsize=64)
+def _unit_cell_cover(m, sh, level):
     d = len(m)
     lo, hi = _bounding_box_exact(m, sh)
     if level is None:
@@ -347,11 +325,7 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
             ranges.append(range(first, last + 1))
         if ranges is not None:
             marked.update(product(*ranges))
-    cover = tuple(sorted(marked))
-    if len(_COVER_CACHE) >= 64:
-        _COVER_CACHE.pop(next(iter(_COVER_CACHE)))
-    _COVER_CACHE[key] = cover
-    return cover
+    return tuple(sorted(marked))
 
 
 def touched_cells(matrix, shifts, depth: int, level: Optional[int] = None):
@@ -423,7 +397,7 @@ def _difference_multiset(digits):
     return diffs
 
 
-def _power_radius(counts, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def _power_radius(counts):
     """Perron radius of a nonnegative matrix by power iteration.
 
     Iterates on T + I, which is aperiodic, shares the Perron vector of T,
@@ -437,13 +411,14 @@ def _power_radius(counts, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     t = np.array(counts, dtype=float) + np.eye(n)
     x = np.ones(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = t @ x
         ny = float(np.max(y))
         if ny == 0.0:
             return 0.0, x, True
         y /= ny
-        if abs(ny - lam) <= tol * max(1.0, ny) and float(np.max(np.abs(y - x))) <= tol:
+        if (abs(ny - lam) <= POWER_TOL * max(1.0, ny)
+                and float(np.max(np.abs(y - x))) <= POWER_TOL):
             return max(ny - 1.0, 0.0), y, True
         x, lam = y, ny
     return max(lam - 1.0, 0.0), x, False
@@ -500,24 +475,21 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
                          counts=tuple(tuple(r) for r in counts))
 
 
-_TILE_REPORT_CACHE: dict = {}
-
-
 def _tile_report_cached(matrix, digits) -> "TileReport":
     # The report does not depend on the order of the digits.
-    key = (matrix, tuple(sorted(digits)))
-    if key not in _TILE_REPORT_CACHE:
-        if len(_TILE_REPORT_CACHE) >= 256:
-            _TILE_REPORT_CACHE.pop(next(iter(_TILE_REPORT_CACHE)))
-        _TILE_REPORT_CACHE[key] = tile_check_exact(matrix, digits)
-    return _TILE_REPORT_CACHE[key]
+    return _tile_report(matrix, tuple(sorted(digits)))
 
 
-def tile_check_exact(matrix, digits, eps_gap: float = EPS_GAP) -> TileReport:
+@lru_cache(maxsize=256)
+def _tile_report(matrix, digits) -> "TileReport":
+    return tile_check_exact(matrix, digits)
+
+
+def tile_check_exact(matrix, digits) -> TileReport:
     """Decide whether the digit system generates a tile (measure one).
 
     Builds the contact matrix and compares its Perron radius rho with
-    m = |det M|: rho < m - eps_gap certifies measure one; an eigenvector at
+    m = |det M|: rho < m - EPS_GAP certifies measure one; an eigenvector at
     eigenvalue m certifies overlapping translates.  Near-threshold results
     without a certificate are reported as indeterminate rather than guessed.
     """
@@ -532,14 +504,14 @@ def tile_check_exact(matrix, digits, eps_gap: float = EPS_GAP) -> TileReport:
         return TileReport(is_tile=True, indeterminate=False, spectral_radius=0.0,
                           modulus=modulus, contact=contact, measure=1)
     rho, vec, converged = _power_radius(contact.counts)
-    if converged and rho < modulus - eps_gap:
+    if converged and rho < modulus - EPS_GAP:
         return TileReport(is_tile=True, indeterminate=False, spectral_radius=rho,
                           modulus=modulus, contact=contact, measure=1)
     # Certify positive overlap: eigenvector residual at eigenvalue m.
     t = np.array(contact.counts, dtype=float)
     scale = float(np.max(vec)) or 1.0
     residual = float(np.max(np.abs(t @ vec - modulus * vec))) / (modulus * scale)
-    if rho >= modulus - eps_gap and residual <= 1e-6:
+    if rho >= modulus - EPS_GAP and residual <= 1e-6:
         return TileReport(is_tile=False, indeterminate=False, spectral_radius=rho,
                           modulus=modulus, contact=contact)
     return TileReport(is_tile=False, indeterminate=True, spectral_radius=rho,

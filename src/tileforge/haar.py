@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -184,17 +185,15 @@ class _PieceClassifier:
     depth-K cells.  Exact integer arithmetic; no membership ambiguity.
     """
 
-    def __init__(self, system: HaarSystem, depth: int):
-        self.system = system
-        self.depth = depth
-        fine = approximate(system.matrix, system.digits, depth + 1)
-        coarse = approximate(system.matrix, system.digits, depth)
+    def __init__(self, matrix, digits, depth: int):
+        fine = approximate(matrix, digits, depth + 1)
+        coarse = approximate(matrix, digits, depth)
         self.fine = set(fine.cells)
         self.coarse = set(coarse.cells)
-        self.mk1 = mat_pow(system.matrix, depth + 1)
-        mk = mat_pow(system.matrix, depth)
-        self.offsets = [mat_vec(mk, d) for d in system.digits]
-        self.dim = len(system.matrix)
+        self.mk1 = mat_pow(matrix, depth + 1)
+        mk = mat_pow(matrix, depth)
+        self.offsets = [mat_vec(mk, d) for d in digits]
+        self.dim = len(matrix)
 
     def piece_of(self, num, den):
         """Piece index for the point num/den, or -1 when outside the stand-in."""
@@ -208,16 +207,9 @@ class _PieceClassifier:
         raise AssertionError("expansion cell lost its leading digit")
 
 
-_CLASSIFIER_CACHE: dict = {}
-
-
-def _classifier_for(system: HaarSystem, depth: int) -> _PieceClassifier:
-    key = (system.matrix, system.digits, depth)
-    if key not in _CLASSIFIER_CACHE:
-        if len(_CLASSIFIER_CACHE) >= 16:
-            _CLASSIFIER_CACHE.pop(next(iter(_CLASSIFIER_CACHE)))
-        _CLASSIFIER_CACHE[key] = _PieceClassifier(system, depth)
-    return _CLASSIFIER_CACHE[key]
+@lru_cache(maxsize=16)
+def _classifier_for(matrix, digits, depth: int) -> _PieceClassifier:
+    return _PieceClassifier(matrix, digits, depth)
 
 
 def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
@@ -236,7 +228,7 @@ def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
     for f in fr:
         den = den * f.denominator // math.gcd(den, f.denominator)
     num = tuple(int(f * den) for f in fr)
-    piece = _classifier_for(system, depth).piece_of(num, den)
+    piece = _classifier_for(system.matrix, system.digits, depth).piece_of(num, den)
     if piece < 0:
         return 0.0
     return system.pieces[s - 1][piece][1]
@@ -254,7 +246,7 @@ def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     lo, hi = bounding_box(system.matrix, system.digits)
     d = len(system.matrix)
     counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
-    cls = _PieceClassifier(system, depth)
+    cls = _PieceClassifier(system.matrix, system.digits, depth)
     den = 2 * resolution
     axes = []
     for lo_i, c in zip(lo, counts):

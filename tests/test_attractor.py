@@ -1,5 +1,6 @@
 """Attractor approximation, measure bounds, the tile test, layers, rasters."""
 
+import math
 import random
 import sys
 import threading
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tileforge import attractor
+from tileforge import attractor, haar
 from tileforge.attractor import (
     ResourceLimitError,
     approximate,
@@ -69,7 +70,7 @@ def test_approximate_concurrent_depths():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            attractor._LEVEL_CACHE.pop((DRAGON_M, DRAGON_D), None)
+            attractor._level.cache_clear()
             counts = {}
 
             def work(i):
@@ -86,6 +87,57 @@ def test_approximate_concurrent_depths():
             assert all(n == 2 ** depth for depth, n in counts.values())
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_memo_caches_concurrent():
+    # Eight threads over 300 distinct systems (and 19 Haar systems), so every
+    # memo evicts while other threads read it; results must match a serial run.
+    systems = [(((a,),), tuple((k * c,) for k in range(a)))
+               for a in range(2, 8) for c in range(1, 51)]
+    wavelets = [haar.build_wavelets([[a]], [(k * c,) for k in range(a)])
+                for a in (2, 3, 5) for c in (1, 2, 4, 7, 11, 13, 17)
+                if math.gcd(a, c) == 1]
+    point = (Fraction(1, 3),)
+
+    def clear():
+        for memo in (attractor._bounding_box_exact, attractor._unit_cell_cover,
+                     attractor._level, haar._classifier_for):
+            memo.cache_clear()
+
+    def results(start):
+        out = {}
+        for j in range(len(systems)):
+            k = (start + 37 * j) % len(systems)
+            out[k] = (bounding_box(*systems[k]), unit_cell_cover(*systems[k], 2))
+        for j in range(len(wavelets)):
+            k = (start + j) % len(wavelets)
+            out["haar", k] = haar.evaluate(wavelets[k], 1, point, depth=4)
+        return out
+
+    clear()
+    expected = results(0)
+    clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            got[i] = results(i)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got[i] == expected for i in range(8))
 
 
 def test_approximate_real_shifts():

@@ -288,6 +288,18 @@ def test_non_integral_spec_entry_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("tile", "check", "--matrix", "[[99999999999999999999]]", "--digits", "[[0],[1]]"),
+    ("tile", "measure", "--matrix", "[[99999999999999999999]]", "--digits", "[[0],[1]]"),
+    ("haar", "build", "--matrix", "[[99999999999999999999]]", "--digits", "[[0],[1]]"),
+    ("tile", "check", "--matrix", "[[2]]", "--digits", "[[0],[99999999999999999999]]"),
+], ids=["check-matrix", "measure-matrix", "haar-matrix", "check-digits"])
+def test_oversized_entry_is_input_error(argv, capsys):
+    code = main(list(argv))
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_integral_float_entries_are_accepted(capsys):
     code, report = run_json(capsys, "tile", "check", "--matrix", "[[2.0]]",
                             "--digits", "[[0],[1.0]]", "--depth", "4")
@@ -303,7 +315,7 @@ def test_tile_check_builds_contact_matrix_once(capsys, monkeypatch):
         return real(matrix, digits)
 
     monkeypatch.setattr(attractor, "contact_matrix", counting)
-    monkeypatch.setattr(attractor, "_TILE_REPORT_CACHE", {})
+    attractor._tile_report.cache_clear()
     # Unsorted digits: the cached report is shared with the sorted shift set.
     code, _ = run(capsys, "tile", "check", "--matrix", "[[1,1],[-1,1]]",
                   "--digits", "[[1,0],[0,0]]", "--depth", "6")
