@@ -11,10 +11,10 @@ each cell (B a certified bounding box of the attractor) covers the set.
 All set bookkeeping is exact; rationals are used wherever a bound feeds a
 decision.
 
-The tile test builds the contact matrix on the integer points of G - G and
-compares its Perron radius against m = |det M|: radius < m certifies that
-integer translates overlap in measure zero (a tile), an eigenvector at
-eigenvalue m certifies positive overlap.
+The tile test builds the contact matrix on the integer points of G - G.
+Its Perron radius is below m = |det M| exactly when integer translates
+overlap in measure zero (a tile); that is decided by an integer fixed point
+on column sums, and the radius itself is only estimated for display.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional
 
@@ -35,8 +35,6 @@ from .lattice import as_int_matrix, inverse_power, mat_pow, mat_vec
 
 DEFAULT_MAX_CELLS = 5_000_000
 
-#: Perron radius within EPS_GAP of m is reported as indeterminate.
-EPS_GAP = 1e-6
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 100_000
 
@@ -381,11 +379,16 @@ class ContactMatrix:
 @dataclass(frozen=True)
 class TileReport:
     is_tile: bool
-    indeterminate: bool
-    spectral_radius: float
     modulus: int
     contact: ContactMatrix
     measure: Optional[int] = None
+    #: The verdict is exact, never indeterminate.
+    indeterminate = False
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """Power-iteration estimate of the Perron radius, for display only."""
+        return _power_radius(self.contact.counts)
 
 
 def _difference_multiset(digits):
@@ -402,12 +405,11 @@ def _power_radius(counts):
 
     Iterates on T + I, which is aperiodic, shares the Perron vector of T,
     and has radius rho(T) + 1, so contact graphs that are unions of cycles
-    (common here) still converge.  Deterministic all-ones start.  Returns
-    (radius, vector, converged).
+    (common here) still converge.  Deterministic all-ones start.
     """
     n = len(counts)
     if n == 0:
-        return 0.0, np.zeros(0), True
+        return 0.0
     t = np.array(counts, dtype=float) + np.eye(n)
     x = np.ones(n)
     lam = 0.0
@@ -415,13 +417,13 @@ def _power_radius(counts):
         y = t @ x
         ny = float(np.max(y))
         if ny == 0.0:
-            return 0.0, x, True
+            return 0.0
         y /= ny
         if (abs(ny - lam) <= POWER_TOL * max(1.0, ny)
                 and float(np.max(np.abs(y - x))) <= POWER_TOL):
-            return max(ny - 1.0, 0.0), y, True
+            return max(ny - 1.0, 0.0)
         x, lam = y, ny
-    return max(lam - 1.0, 0.0), x, False
+    return max(lam - 1.0, 0.0)
 
 
 def contact_matrix(matrix, digits) -> ContactMatrix:
@@ -445,34 +447,31 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
             return ContactMatrix(states=(), counts=())
         ranges.append(range(a, b + 1))
     zero = tuple([0] * d)
-    states = {k for k in product(*ranges) if k != zero}
-    delta_list = list(diffs)
-    # Greatest fixed point: keep states with at least one in-window successor.
+    window = {k for k in product(*ranges) if k != zero}
+    # In-window successors (M k + delta, mult) of every window state, formed once.
+    succ = {}
+    for k in window:
+        mk = mat_vec(m, k)
+        pairs = ((tuple(map(operator.add, mk, delta)), mult) for delta, mult in diffs.items())
+        succ[k] = [(s, mult) for s, mult in pairs if s in window]
+    # Greatest fixed point: keep states with at least one surviving successor.
+    states = window
     while True:
-        survivors = set()
-        for k in states:
-            mk = mat_vec(m, k)
-            for delta in delta_list:
-                succ = tuple(mk[i] + delta[i] for i in range(d))
-                if succ in states:
-                    survivors.add(k)
-                    break
+        survivors = {k for k in states if any(s in states for s, _ in succ[k])}
         if survivors == states:
             break
         states = survivors
     order = sorted(states)
     index = {k: i for i, k in enumerate(order)}
-    counts = [[0] * len(order) for _ in order]
+    counts = []
     for k in order:
-        mk = mat_vec(m, k)
-        row = counts[index[k]]
-        for delta, mult in diffs.items():
-            succ = tuple(mk[i] + delta[i] for i in range(d))
-            j = index.get(succ)
+        row = [0] * len(order)
+        for s, mult in succ[k]:
+            j = index.get(s)
             if j is not None:
                 row[j] += mult
-    return ContactMatrix(states=tuple(order),
-                         counts=tuple(tuple(r) for r in counts))
+        counts.append(tuple(row))
+    return ContactMatrix(states=tuple(order), counts=tuple(counts))
 
 
 def _tile_report_cached(matrix, digits) -> "TileReport":
@@ -488,10 +487,15 @@ def _tile_report(matrix, digits) -> "TileReport":
 def tile_check_exact(matrix, digits) -> TileReport:
     """Decide whether the digit system generates a tile (measure one).
 
-    Builds the contact matrix and compares its Perron radius rho with
-    m = |det M|: rho < m - EPS_GAP certifies measure one; an eigenvector at
-    eigenvalue m certifies overlapping translates.  Near-threshold results
-    without a certificate are reported as indeterminate rather than guessed.
+    The system is a tile iff the Perron radius of the contact matrix T is
+    below m = |det M|.  Every column of T sums to at most m: for a column
+    state k and a digit a exactly one digit b is congruent to k + a mod M,
+    and it fixes the row state M^-1 (k + a - b).  So rho(T) <= m, with
+    equality iff some nonempty state set keeps every in-set column sum at
+    m (an irreducible class at radius m has all its column sums m).  The
+    greatest such set is an integer fixed point: drop every state whose
+    column sum over the remaining states is below m until none is dropped.
+    The system is a tile iff that set is empty.  No eigenvalue is computed.
     """
     m = as_int_matrix(matrix)
     if not lattice.is_expanding(m):
@@ -500,22 +504,16 @@ def tile_check_exact(matrix, digits) -> TileReport:
         raise ValueError("digits must form a residue system for the matrix")
     modulus = abs(lattice.det(m))
     contact = contact_matrix(m, digits)
-    if len(contact) == 0:
-        return TileReport(is_tile=True, indeterminate=False, spectral_radius=0.0,
-                          modulus=modulus, contact=contact, measure=1)
-    rho, vec, converged = _power_radius(contact.counts)
-    if converged and rho < modulus - EPS_GAP:
-        return TileReport(is_tile=True, indeterminate=False, spectral_radius=rho,
-                          modulus=modulus, contact=contact, measure=1)
-    # Certify positive overlap: eigenvector residual at eigenvalue m.
-    t = np.array(contact.counts, dtype=float)
-    scale = float(np.max(vec)) or 1.0
-    residual = float(np.max(np.abs(t @ vec - modulus * vec))) / (modulus * scale)
-    if rho >= modulus - EPS_GAP and residual <= 1e-6:
-        return TileReport(is_tile=False, indeterminate=False, spectral_radius=rho,
-                          modulus=modulus, contact=contact)
-    return TileReport(is_tile=False, indeterminate=True, spectral_radius=rho,
-                      modulus=modulus, contact=contact)
+    t = np.array(contact.counts, dtype=np.int64).reshape(len(contact), len(contact))
+    alive = np.ones(len(contact), dtype=bool)
+    while True:
+        keep = alive & (t[alive].sum(axis=0) >= modulus)
+        if (keep == alive).all():
+            break
+        alive = keep
+    is_tile = not alive.any()
+    return TileReport(is_tile=is_tile, modulus=modulus, contact=contact,
+                      measure=1 if is_tile else None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from . import lattice
 from .attractor import AttractorApprox, unit_cell_cover
 from .lattice import as_int_matrix
 
+#: Cell-count ceiling for the depth chosen by suggested_depth.
+DEPTH_CELL_BUDGET = 70_000
+
 
 class NotMonomialError(ValueError):
     """Matrix has a column with other than exactly one nonzero entry."""
@@ -113,7 +116,7 @@ def tensor_product(matrix1, shifts1, matrix2, shifts2):
     return tuple(tuple(r) for r in block), shifts
 
 
-def suggested_depth(matrix, digits, cell_budget: int = 70000) -> int:
+def suggested_depth(matrix, digits) -> int:
     """Approximation depth for shape detection: enough cells, full rank.
 
     Picks the smallest depth whose cell count is comfortable for hull work
@@ -127,7 +130,7 @@ def suggested_depth(matrix, digits, cell_budget: int = 70000) -> int:
     depth = 2
     while m ** (depth + 1) <= 4096 and depth < 8:
         depth += 1
-    while m ** depth < 4 ** d and m ** (depth + 1) <= cell_budget:
+    while m ** depth < 4 ** d and m ** (depth + 1) <= DEPTH_CELL_BUDGET:
         depth += 1
     while depth < max(2 * d, 8):
         cells = np.array(approximate(matrix, digits, depth).cells, dtype=float)

@@ -190,9 +190,7 @@ def cmd_tile_check(args) -> int:
         "measure_upper_float": float(mu),
         "layers_histogram": {str(k): v for k, v in sorted(hist.items())},
     })
-    if report.is_tile:
-        return EXIT_OK
-    return EXIT_NEGATIVE if not report.indeterminate else EXIT_OK
+    return EXIT_OK if report.is_tile else EXIT_NEGATIVE
 
 
 def cmd_tile_measure(args) -> int:

@@ -167,8 +167,8 @@ def frac_mat_mul(a, b):
     )
 
 
-def is_expanding(matrix, eig_tol: float = EIG_TOL) -> bool:
-    """True iff every eigenvalue of M has modulus > 1 + eig_tol.
+def is_expanding(matrix) -> bool:
+    """True iff every eigenvalue of M has modulus > 1 + EIG_TOL.
 
     An integer matrix with all |lambda| > 1 has |det| = prod |lambda| > 1,
     hence |det| >= 2; that necessary condition is checked exactly first, so
@@ -179,7 +179,7 @@ def is_expanding(matrix, eig_tol: float = EIG_TOL) -> bool:
     if abs(det(m)) < 2:
         return False
     eigvals = np.linalg.eigvals(np.array(m, dtype=float))
-    return bool(np.min(np.abs(eigvals)) > 1.0 + eig_tol)
+    return bool(np.min(np.abs(eigvals)) > 1.0 + EIG_TOL)
 
 
 def _residue(m, p, q, v):

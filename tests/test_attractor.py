@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_scaled_map import _vectors, expanding_matrices
 
 from tileforge import attractor, haar
 from tileforge.attractor import (
@@ -22,6 +25,8 @@ from tileforge.attractor import (
     tile_check_exact,
     unit_cell_cover,
 )
+from tileforge.boxtile import BoxForm, box_digits, build_cyclic_matrix
+from tileforge.lattice import det, mat_vec, residue_system
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -270,6 +275,55 @@ def test_tile_check_rejects_bad_digits():
         tile_check_exact([[2]], [(0,), (2,)])
     with pytest.raises(ValueError):
         tile_check_exact([[1, 0], [0, 2]], [(0, 0), (1, 0)])
+
+
+def test_tile_verdict_needs_no_floats(monkeypatch):
+    def no_floats(counts):
+        raise AssertionError("the tile verdict must not estimate the Perron radius")
+
+    monkeypatch.setattr(attractor, "_power_radius", no_floats)
+    box = BoxForm((1, 1, 2), 1)
+    cases = [
+        (DRAGON_M, DRAGON_D, True),
+        (((2,),), ((0,), (3,)), False),
+        (build_cyclic_matrix(box), box_digits(box), True),
+        (DRAGON_M, tuple((3 * x, 3 * y) for x, y in DRAGON_D), False),
+    ]
+    reports = [tile_check_exact(m, digits) for m, digits, _ in cases]
+    assert [r.is_tile for r in reports] == [tile for _, _, tile in cases]
+    assert not any(r.indeterminate for r in reports)
+    monkeypatch.undo()
+    assert 1.6956 < reports[0].spectral_radius < 1.6957
+    assert abs(reports[1].spectral_radius - 2) < 1e-6
+
+
+@st.composite
+def digit_systems(draw):
+    """Residue digits of an expanding M, each nonzero one moved by M v with
+    small v, and sometimes all scaled by a factor coprime to det M."""
+    m = draw(expanding_matrices())
+    d = len(m)
+    digits = []
+    for r in residue_system(m):
+        v = draw(_vectors(d, 1)) if any(r) else (0,) * d
+        digits.append(tuple(x + y for x, y in zip(r, mat_vec(m, v))))
+    k = draw(st.sampled_from([k for k in (1, 1, 2, 3, 5) if math.gcd(k, det(m)) == 1]))
+    return m, tuple(tuple(k * x for x in r) for r in digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_systems())
+def test_tile_verdict_is_perron_radius_below_modulus(system):
+    m, digits = system
+    # Keep the window (and so the contact matrix) small.
+    lo, hi = bounding_box(m, [tuple(b - a for a, b in zip(x, y)) for x in digits for y in digits])
+    assume(math.prod(float(h - l) + 1 for l, h in zip(lo, hi)) <= 1500)
+    report = tile_check_exact(m, digits)
+    modulus = abs(det(m))
+    assert all(sum(col) <= modulus for col in zip(*report.contact.counts))
+    rho = report.spectral_radius
+    if abs(rho - modulus) >= 1e-3:
+        assert report.is_tile == (rho < modulus), (m, digits, rho)
 
 
 def test_contact_matrix_counts_row_total():
