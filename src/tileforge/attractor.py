@@ -14,7 +14,7 @@ decision.
 The tile test builds the contact matrix on the integer points of G - G.
 Its Perron radius is below m = |det M| exactly when integer translates
 overlap in measure zero (a tile); that is decided by an integer fixed point
-on column sums, and the radius itself is only estimated for display.
+on column sums.  The radius is only displayed: m for a non-tile, else estimated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -184,18 +184,25 @@ class AttractorApprox:
     """Depth-K truncation of an attractor as lattice cells.
 
     Cell z stands for the region M^{-depth}(z + B) with B the certified
-    bounding box of the attractor; cells are distinct and sorted.
+    bounding box of the attractor.  `points` holds the distinct cells in
+    lexicographic order (see _level); equality and hashing use the four
+    fields that determine them.
     """
 
     matrix: tuple
     shifts: tuple
     depth: int
-    cells: tuple
+    points: np.ndarray = field(compare=False)
     is_integer: bool
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The cells as a sorted tuple of tuples of Python numbers."""
+        return tuple(map(tuple, self.points.tolist()))
 
     def to_json(self) -> dict:
         """JSON-ready cell list: matrix, shifts, depth and the cells."""
@@ -207,30 +214,57 @@ class AttractorApprox:
         }
 
 
+#: Integer arrays stay int64 below this magnitude, else hold Python ints (dtype object).
+INT64_SAFE = 2 ** 62
+
+
+def _ravel(rows, lo, span):
+    """Row-major keys sum_i (x_i - lo_i) * stride_i, ordered like the row tuples."""
+    keys = rows[:, 0] - lo[0]
+    for i in range(1, len(span)):
+        keys = keys * span[i] + (rows[:, i] - lo[i])
+    return keys
+
+
+def _unravel(keys, lo, span):
+    """Rows of the keys made by _ravel(rows, lo, span)."""
+    strides = [math.prod(span[i + 1:]) for i in range(len(span))]
+    return np.stack([keys // st % n + a for st, n, a in zip(strides, span, lo)], axis=1)
+
+
+def _unique_rows(rows):
+    """Distinct integer rows in lexicographic order, deduplicated on raveled keys."""
+    lo = [int(x) for x in rows.min(axis=0)]
+    span = [int(x) - a + 1 for x, a in zip(rows.max(axis=0), lo)]
+    exact = rows if math.prod(span) < INT64_SAFE else rows.astype(object)
+    return rows[np.unique(_ravel(exact, lo, span), return_index=True)[1]]
+
+
 @lru_cache(maxsize=96)
 def _level(matrix, shifts, t, is_integer):
-    """Frontier level t: {0} at t = 0, then {M z + s : z in level t-1}."""
+    """Frontier level t: {0} at t = 0, then {M z + s : z in level t-1}.
+
+    A read-only (n, d) array of distinct rows in lexicographic order: int64,
+    Python ints (dtype object) past INT64_SAFE, or float64 for real data.
+    """
     d = len(matrix)
     if t == 0:
-        return frozenset([tuple([0] * d)])
-    # M z is formed once per cell, then each shift is added to it.
-    if is_integer:
-        def image(z):
-            return [sum(map(operator.mul, row, z)) for row in matrix]
-
-        def add(y, s):
-            return tuple(map(operator.add, y, s))
+        pts = np.zeros((1, d), dtype=np.int64 if is_integer else float)
+    elif is_integer:
+        prev = _level(matrix, shifts, t - 1, is_integer)
+        # |M z + s| <= ||M||_inf * max|z| + max|s| bounds every partial sum.
+        norm = max(sum(map(abs, row)) for row in matrix)
+        smax = max(abs(x) for s in shifts for x in s)
+        dtype = np.int64 if norm * max(int(np.abs(prev).max()), 1) + smax < INT64_SAFE else object
+        mat, sh = (np.array(x, dtype=dtype) for x in (matrix, shifts))
+        rows = (prev.astype(dtype, copy=False) @ mat.T)[:, None] + sh
+        pts = _unique_rows(rows.reshape(-1, d))
     else:
-        mat = np.array(matrix, dtype=float)
-
-        def image(z):
-            return mat @ np.array(z, dtype=float)
-
-        def add(y, s):
-            return tuple(round(y[i] + s[i], 12) for i in range(d))
-
-    prev = _level(matrix, shifts, t - 1, is_integer)
-    return frozenset(add(y, s) for y in map(image, prev) for s in shifts)
+        prev = _level(matrix, shifts, t - 1, is_integer)
+        rows = (prev @ np.array(matrix, dtype=float).T)[:, None] + np.array(shifts)
+        pts = np.unique(np.round(rows.reshape(-1, d), 12), axis=0)
+    pts.flags.writeable = False
+    return pts
 
 
 def _cells_at(matrix, shifts, depth, is_integer, max_cells):
@@ -262,8 +296,8 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
     integral = m_int and s_int
     budget = max_cells if max_cells is not None else max_cells_budget()
     cells = _cells_at(m, sh, depth, integral, budget)
-    return AttractorApprox(matrix=m, shifts=sh, depth=depth,
-                           cells=tuple(sorted(cells)), is_integer=integral)
+    return AttractorApprox(matrix=m, shifts=sh, depth=depth, points=cells,
+                           is_integer=integral)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +343,7 @@ def _unit_cell_cover(m, sh, level):
     row_hi = [sum(sn[i][j] * (bhi[j] if sn[i][j] >= 0 else blo[j]) for j in range(d))
               for i in range(d)]
     marked = set()
-    for c in cells:
+    for c in cells.tolist():
         ranges = []
         for i in range(d):
             base = sum(sn[i][j] * c[j] for j in range(d)) * r
@@ -326,16 +360,29 @@ def _unit_cell_cover(m, sh, level):
     return tuple(sorted(marked))
 
 
+def _cover_keys(points, cover):
+    """Sorted distinct _ravel keys of {z + g : z in points, g in cover}.
+
+    Returns (keys, lo, span) for the key box lo + [0, span): int64 keys while
+    it holds fewer than INT64_SAFE cells, Python ints past that.
+    """
+    d = points.shape[1]
+    zlo = [int(x) for x in points.min(axis=0)]
+    glo = [min((g[i] for g in cover), default=0) for i in range(d)]
+    span = [int(zh) - zl + max((g[i] for g in cover), default=0) - gl + 1
+            for i, (zl, zh, gl) in enumerate(zip(zlo, points.max(axis=0), glo))]
+    dtype = np.int64 if points.dtype != object and math.prod(span) < INT64_SAFE else object
+    kz = _ravel(points.astype(dtype, copy=False), zlo, span)
+    kg = _ravel(np.array(cover, dtype=object).reshape(-1, d), glo, span).astype(dtype)
+    keys = np.unique((kz[:, None] + kg[None, :]).ravel())
+    return keys, [a + b for a, b in zip(zlo, glo)], span
+
+
 def touched_cells(matrix, shifts, depth: int, level: Optional[int] = None):
     """Unit cells at scale M^{-depth} covering the attractor: cells + cover."""
     approx = approximate(matrix, shifts, depth)
     cover = unit_cell_cover(approx.matrix, approx.shifts, level)
-    d = len(approx.matrix)
-    touched = set()
-    for g in cover:
-        for z in approx.cells:
-            touched.add(tuple(z[i] + g[i] for i in range(d)))
-    return touched
+    return set(map(tuple, _unravel(*_cover_keys(approx.points, cover)).tolist()))
 
 
 def measure_upper(matrix, digits, depth: int, level: Optional[int] = None) -> Fraction:
@@ -352,8 +399,9 @@ def measure_upper(matrix, digits, depth: int, level: Optional[int] = None) -> Fr
         raise ValueError("digits must form a residue system for the matrix")
     if _tile_report_cached(m, tuple(tuple(int(x) for x in v) for v in digits)).is_tile:
         return Fraction(1)
-    touched = touched_cells(m, digits, depth, level)
-    return Fraction(len(touched), abs(lattice.det(m)) ** depth)
+    cells = approximate(m, digits, depth).points
+    keys, _, _ = _cover_keys(cells, unit_cell_cover(m, digits, level))
+    return Fraction(len(keys), abs(lattice.det(m)) ** depth)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +435,10 @@ class TileReport:
 
     @cached_property
     def spectral_radius(self) -> float:
-        """Power-iteration estimate of the Perron radius, for display only."""
+        """The Perron radius for display: exactly m for a non-tile (the
+        verdict proves rho = m), else a power-iteration estimate."""
+        if not self.is_tile:
+            return float(self.modulus)
         return _power_radius(self.contact.counts)
 
 
@@ -429,25 +480,20 @@ def _power_radius(counts):
 def contact_matrix(matrix, digits) -> ContactMatrix:
     """Contact matrix on the integer points of G - G (zero excluded).
 
-    Candidate states come from the certified per-coordinate bounds on
-    sums sum M^{-j} c_j with c_j in D - D; the candidate window is then
-    pruned to its greatest fixed point under "k keeps some successor
-    M k + b - a inside the set", which is exactly the set of integer
-    vectors representable as such sums.
+    Candidate states are the integer points of box(G) - box(G), box(G) the
+    certified bounding box; the window is then pruned to its greatest fixed
+    point under "k keeps some successor M k + b - a inside the set", which is
+    exactly the set of integer vectors sum M^{-j} (b_j - a_j) in any window
+    holding them all.
     """
     m = as_int_matrix(matrix)
     d = len(m)
     diffs = _difference_multiset(digits)
-    lo, hi = _bounding_box_exact(m, tuple(sorted(diffs)))
-    ranges = []
-    for lo_i, hi_i in zip(lo, hi):
-        a = -int((-lo_i) // 1)  # ceil(lo)
-        b = int(hi_i // 1)      # floor(hi)
-        if b < a:
-            return ContactMatrix(states=(), counts=())
-        ranges.append(range(a, b + 1))
+    lo, hi = _bounding_box_exact(m, tuple(sorted({tuple(map(int, v)) for v in digits})))
+    # box(G) - box(G) is symmetric: its integer points reach floor(width) each way.
+    widths = [int((h - l) // 1) for l, h in zip(lo, hi)]
     zero = tuple([0] * d)
-    window = {k for k in product(*ranges) if k != zero}
+    window = {k for k in product(*(range(-b, b + 1) for b in widths)) if k != zero}
     # In-window successors (M k + delta, mult) of every window state, formed once.
     succ = {}
     for k in window:
@@ -565,18 +611,6 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     window = tuple((int(a), int(b)) for a, b in window)
     if any(b <= a for a, b in window):
         raise ValueError("window must have positive extent in every coordinate")
-    # A certified tile admits an exact one-layer stand-in: its cells are a
-    # complete residue system mod M^depth.  Otherwise count against the
-    # geometric unit-cell cover, where boundary cells may deviate.
-    if (lattice.validate_digits(approx.matrix, approx.shifts)
-            and _tile_report_cached(approx.matrix, approx.shifts).is_tile):
-        touched = set(approx.cells)
-    else:
-        cover = unit_cell_cover(approx.matrix, approx.shifts)
-        touched = set()
-        for g in cover:
-            for z in approx.cells:
-                touched.add(tuple(z[i] + g[i] for i in range(d)))
     # With M^-depth = P / q, the mapped unit cell M^-depth(c + [0,1]^d) spans
     # [(P c)_i + row_neg_i, (P c)_i + row_pos_i] / q along coordinate i.
     p, q = inverse_power(approx.matrix, approx.depth)
@@ -602,13 +636,27 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     t_ranges = [range(int((window[i][0] - hi_b[i]) // 1),
                       -int(-(window[i][1] - lo_b[i]) // 1) + 1) for i in range(d)]
     shifted = [mat_vec(mk, t) for t in product(*t_ranges)]
-    per = {}
-    for c in samples:
-        layers = 0
-        for mt in shifted:
-            if tuple(c[i] - mt[i] for i in range(d)) in touched:
-                layers += 1
-        per[c] = layers
+    # A certified tile admits an exact one-layer stand-in: its cells are a
+    # complete residue system mod M^depth.  Otherwise count against the
+    # geometric unit-cell cover, where boundary cells may deviate.
+    if (lattice.validate_digits(approx.matrix, approx.shifts)
+            and _tile_report_cached(approx.matrix, approx.shifts).is_tile):
+        cover = [(0,) * d]
+    else:
+        cover = unit_cell_cover(approx.matrix, approx.shifts)
+    keys, key_lo, span = _cover_keys(approx.points, cover)
+    # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
+    top = max(abs(x) for v in (*samples, *shifted, key_lo) for x in v)
+    dtype = keys.dtype if 3 * top < INT64_SAFE else object
+    rel = (np.array(samples, dtype=dtype)[:, None, :]
+           - np.array(shifted, dtype=dtype)[None, :, :] - np.array(key_lo, dtype=dtype))
+    inside = ((rel >= 0) & (rel < np.array(span, dtype=dtype))).all(axis=2)
+    k = _ravel(rel[inside], [0] * d, span)
+    # No key reaches the box size, so it closes the sorted keys as a sentinel.
+    closed = np.append(keys, math.prod(span))
+    member = np.zeros(inside.shape, dtype=bool)
+    member[inside] = closed[np.searchsorted(keys, k)] == k
+    per = dict(zip(samples, member.sum(axis=1).tolist()))
     hist = {}
     for v in per.values():
         hist[v] = hist.get(v, 0) + 1
@@ -657,7 +705,8 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
     rows = [[x * b * resolution for x in row] for row in p]
     offsets = [x.numerator * (b // x.denominator) * q * resolution for x in origin]
     den = q * b
-    return [[(sum(map(operator.mul, row, z)) - off) // den for z in approx.cells]
+    cells = approx.points.tolist()
+    return [[(sum(map(operator.mul, row, z)) - off) // den for z in cells]
             for row, off in zip(rows, offsets)]
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lattice
-from .attractor import AttractorApprox, unit_cell_cover
+from .attractor import AttractorApprox, _unique_rows, unit_cell_cover
 from .lattice import as_int_matrix
 
 #: Cell-count ceiling for the depth chosen by suggested_depth.
@@ -133,7 +133,7 @@ def suggested_depth(matrix, digits) -> int:
     while m ** depth < 4 ** d and m ** (depth + 1) <= DEPTH_CELL_BUDGET:
         depth += 1
     while depth < max(2 * d, 8):
-        cells = np.array(approximate(matrix, digits, depth).cells, dtype=float)
+        cells = approximate(matrix, digits, depth).points.astype(float)
         if len(cells) >= 2 and np.linalg.matrix_rank(cells - cells[0]) == d:
             break
         depth += 1
@@ -203,12 +203,12 @@ class ParallelepipedReport:
     tol: float
 
 
-def _cell_grid(cells):
-    """Dense boolean grid of a cell set, with a one-cell margin.
+def _cell_grid(points):
+    """Dense boolean grid of a cell array, with a one-cell margin.
 
     Returns (grid, mins); cell z sits at index z - mins + 1.
     """
-    arr = np.array(cells, dtype=np.int64)
+    arr = points.astype(np.int64, copy=False)
     mins = arr.min(axis=0)
     spans = arr.max(axis=0) - mins + 3
     grid = np.zeros(tuple(spans), dtype=bool)
@@ -216,24 +216,16 @@ def _cell_grid(cells):
     return grid, mins
 
 
-def _corner_cloud(approx: AttractorApprox):
-    """Real-mapped corners of the boundary cells of the approximation."""
+def _corner_cloud(approx: AttractorApprox, grid, mins):
+    """Real-mapped corners of the boundary cells of (grid, mins) = _cell_grid(approx.points)."""
     from scipy import ndimage
 
     d = approx.dim
-    grid, mins = _cell_grid(approx.cells)
     cross = ndimage.generate_binary_structure(d, 1)
     boundary = grid & ~ndimage.binary_erosion(grid, structure=cross)
     idx = np.argwhere(boundary) + (mins - 1)
     offsets = np.array(list(product((0, 1), repeat=d)), dtype=np.int64)
-    corners = (idx[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-    # Dedupe on a raveled key; much faster than row-wise unique.
-    cmin = corners.min(axis=0)
-    span = corners.max(axis=0) - cmin + 1
-    keys = np.zeros(len(corners), dtype=np.int64)
-    for i in range(d):
-        keys = keys * span[i] + (corners[:, i] - cmin[i])
-    corners = corners[np.unique(keys, return_index=True)[1]]
+    corners = _unique_rows((idx[:, None, :] + offsets[None, :, :]).reshape(-1, d))
     pts = corners.astype(float)
     minv = np.linalg.inv(np.array(approx.matrix, dtype=float))
     a = np.linalg.matrix_power(minv, approx.depth)
@@ -320,31 +312,30 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
     if not approx.is_integer:
         raise ValueError("parallelepiped detection requires integer data")
     d = approx.dim
-    rel = np.array(approx.cells, dtype=float)
+    rel = approx.points.astype(float)
     if len(rel) < 2 or np.linalg.matrix_rank(rel - rel[0]) < d:
         raise DegeneratePointCloudError(
             "cells span a lower-dimensional subspace; the attractor is degenerate")
     det = abs(lattice.det(approx.matrix))
     scale = det ** approx.depth
     cover = np.array(unit_cell_cover(approx.matrix, approx.shifts), dtype=np.int64)
-    arr = np.array(approx.cells, dtype=np.int64)
-    lo = arr.min(axis=0) + cover.min(axis=0)
-    spans = arr.max(axis=0) + cover.max(axis=0) - lo + 3
-    touched = np.zeros(tuple(spans), dtype=bool)
-    base = arr - lo + 1
-    for g in cover:
-        touched[tuple((base + g).T)] = True
+    # Cell z + g sits at (z - mins + 1) + (g - min(cover)) in `touched`.
+    grid, mins = _cell_grid(approx.points)
+    offsets = cover - cover.min(axis=0)
+    touched = np.zeros(tuple(np.array(grid.shape) + offsets.max(axis=0)), dtype=bool)
+    for g in offsets:
+        touched[tuple(slice(a, a + n) for a, n in zip(g, grid.shape))] |= grid
     full = np.ones((3,) * d, dtype=bool)
     interior = ndimage.binary_erosion(touched, structure=full)
     vol_hi = int(np.count_nonzero(touched)) / scale
     vol_lo = int(np.count_nonzero(interior)) / scale
     if d == 1:
-        zs = [z[0] for z in approx.cells]
-        width = (max(zs) - min(zs) + 1) / abs(approx.matrix[0][0]) ** approx.depth
+        zs = approx.points[:, 0]
+        width = (int(zs.max()) - int(zs.min()) + 1) / abs(approx.matrix[0][0]) ** approx.depth
         hull_volume = fit_volume = float(width)
         edges = ((float(width),),)
     else:
-        pts = _corner_cloud(approx)
+        pts = _corner_cloud(approx, grid, mins)
         hull_volume, fit_volume, edges = _min_parallelepiped(pts, d)
     filled = hull_volume >= (1.0 - tol) * fit_volume
     consistent = (vol_lo <= hull_volume * (1.0 + tol)

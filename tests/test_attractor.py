@@ -1,5 +1,6 @@
 """Attractor approximation, measure bounds, the tile test, layers, rasters."""
 
+import itertools
 import math
 import random
 import sys
@@ -321,9 +322,55 @@ def test_tile_verdict_is_perron_radius_below_modulus(system):
     report = tile_check_exact(m, digits)
     modulus = abs(det(m))
     assert all(sum(col) <= modulus for col in zip(*report.contact.counts))
-    rho = report.spectral_radius
+    rho = attractor._power_radius(report.contact.counts)
     if abs(rho - modulus) >= 1e-3:
         assert report.is_tile == (rho < modulus), (m, digits, rho)
+
+
+def test_non_tile_radius_is_exactly_modulus():
+    # the power iteration reads 4.0000000004... here, above the proven bound
+    box = BoxForm((1, 4, 1), 1)
+    digits = tuple(tuple(5 * x for x in v) for v in box_digits(box))
+    report = tile_check_exact(build_cyclic_matrix(box), digits)
+    assert not report.is_tile
+    assert report.spectral_radius == 4.0 <= report.modulus
+
+
+def _reference_contact(m, digits):
+    """States and counts pruned from the integer points of box(D - D series)."""
+    diffs = {}
+    for a in digits:
+        for b in digits:
+            delta = tuple(y - x for x, y in zip(a, b))
+            diffs[delta] = diffs.get(delta, 0) + 1
+    lo, hi = bounding_box(m, list(diffs))
+    ranges = [range(math.ceil(x), math.floor(y) + 1) for x, y in zip(lo, hi)]
+    succ = {k: [(tuple(map(sum, zip(mat_vec(m, k), delta))), n) for delta, n in diffs.items()]
+            for k in itertools.product(*ranges) if any(k)}
+    states = set(succ)
+    while True:
+        keep = {k for k in states if any(s in states for s, _ in succ[k])}
+        if keep == states:
+            break
+        states = keep
+    order = sorted(states)
+    index = {k: i for i, k in enumerate(order)}
+    counts = [[0] * len(order) for _ in order]
+    for i, k in enumerate(order):
+        for s, n in succ[k]:
+            if s in index:
+                counts[i][index[s]] += n
+    return tuple(order), tuple(map(tuple, counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_systems())
+def test_contact_window_from_digit_box(system):
+    m, digits = system
+    lo, hi = bounding_box(m, [tuple(b - a for a, b in zip(x, y)) for x in digits for y in digits])
+    assume(math.prod(float(h - l) + 1 for l, h in zip(lo, hi)) <= 500)
+    contact = contact_matrix(m, digits)
+    assert (contact.states, contact.counts) == _reference_contact(m, digits)
 
 
 def test_contact_matrix_counts_row_total():
@@ -358,6 +405,70 @@ def test_cells_always_distinct_mod_mk_for_residue_digits():
         a = approximate([[2]], digits, 6)
         residues = {z[0] % 64 for z in a.cells}
         assert len(residues) == len(a.cells) == 64
+
+
+def _reference_cells(m, shifts, depth):
+    """sorted of the iterated set {M z + s}, one cell at a time.
+
+    Real data follow the per-cell float route: M z as a float matrix-vector
+    product, then round(y_i + s_i, 12) on the numpy scalars.
+    """
+    level = {tuple([0] * len(m))}
+    mat = np.array(m, dtype=float)
+    for _ in range(depth):
+        if all(isinstance(x, int) for v in (*m, *shifts) for x in v):
+            level = {tuple(y + x for y, x in zip(mat_vec(m, z), s))
+                     for z in level for s in shifts}
+        else:
+            level = {tuple(round(y + x, 12) for y, x in zip(mat @ np.array(z, dtype=float), s))
+                     for z in level for s in shifts}
+    return tuple(sorted(level))
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=digit_systems(), data=st.data())
+def test_cells_match_iterated_set_reference(system, data):
+    m, digits = system
+    top = int(math.log(5000) / math.log(abs(det(m))))
+    depth = data.draw(st.integers(1, max(top, 1)))
+    a = approximate(m, digits, depth)
+    assert a.cells == _reference_cells(a.matrix, a.shifts, depth)
+    assert a.points.dtype == np.int64 and not a.points.flags.writeable
+
+
+def test_cells_past_int64_take_python_ints():
+    # entries beyond 2^63 leave int64 for Python ints in an object array
+    m = ((5, 2 ** 62), (0, 5))
+    digits = tuple((a, b) for a in range(5) for b in range(5))
+    a = approximate(m, digits, 3)
+    assert a.points.dtype == object and not a.points.flags.writeable
+    assert len(a.cells) == 25 ** 3
+    assert max(abs(x) for z in a.cells for x in z) > 2 ** 63
+    assert a.cells == _reference_cells(m, digits, 3)
+    # int64 levels that later leave the range, and int64 cells whose key box
+    # is too large for int64 keys
+    wide = ((0, 0), (2 ** 31 + 1, 0), (0, 2 ** 31 + 1), (1, 1))
+    for m, shifts, depth in [(((2,),), ((0,), (2 ** 60,)), 5), (((2, 0), (0, 2)), wide, 3)]:
+        assert approximate(m, shifts, depth).cells == _reference_cells(m, shifts, depth)
+
+
+def test_touched_cells_past_int64_are_translates():
+    # digits moved by c move the depth-K touched cells by c * 2^K exactly
+    c = 2 ** 62
+    for digits in [((0,), (1,)), ((0,), (3,))]:
+        moved = tuple((x + c,) for (x,) in digits)
+        assert approximate([[2]], moved, 6).points.dtype == object
+        assert (attractor.touched_cells([[2]], moved, 6)
+                == {(x + c * 2 ** 6,) for (x,) in attractor.touched_cells([[2]], digits, 6)})
+
+
+def test_real_shift_cells_match_reference():
+    m = ((1, 1), (-1, 1))
+    shifts = ((0.1, 0.2), (1.1, -0.3), (0.0, 0.7))
+    for depth in range(1, 7):
+        a = approximate(m, shifts, depth)
+        assert a.points.dtype == float and not a.points.flags.writeable
+        assert a.cells == _reference_cells(m, a.shifts, depth)
 
 
 def _point_in_1d_attractor(m, digits, x, reach):

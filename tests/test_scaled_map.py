@@ -91,7 +91,7 @@ def _reference_indices(m, k, cells, resolution, origin):
 def _approx(m, k, cells):
     d = len(m)
     return AttractorApprox(matrix=m, shifts=(tuple([0] * d),), depth=k,
-                           cells=tuple(cells), is_integer=True)
+                           points=np.array(cells, dtype=object), is_integer=True)
 
 
 @SETTINGS
