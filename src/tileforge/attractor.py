@@ -233,11 +233,13 @@ def _unravel(keys, lo, span):
 
 
 def _unique_rows(rows):
-    """Distinct integer rows in lexicographic order, deduplicated on raveled keys."""
+    """Distinct integer rows in lexicographic order and their multiplicities,
+    deduplicated on raveled keys."""
     lo = [int(x) for x in rows.min(axis=0)]
     span = [int(x) - a + 1 for x, a in zip(rows.max(axis=0), lo)]
     exact = rows if math.prod(span) < INT64_SAFE else rows.astype(object)
-    return rows[np.unique(_ravel(exact, lo, span), return_index=True)[1]]
+    _, first, mult = np.unique(_ravel(exact, lo, span), return_index=True, return_counts=True)
+    return rows[first], mult
 
 
 @lru_cache(maxsize=96)
@@ -258,7 +260,7 @@ def _level(matrix, shifts, t, is_integer):
         dtype = np.int64 if norm * max(int(np.abs(prev).max()), 1) + smax < INT64_SAFE else object
         mat, sh = (np.array(x, dtype=dtype) for x in (matrix, shifts))
         rows = (prev.astype(dtype, copy=False) @ mat.T)[:, None] + sh
-        pts = _unique_rows(rows.reshape(-1, d))
+        pts = _unique_rows(rows.reshape(-1, d))[0]
     else:
         prev = _level(matrix, shifts, t - 1, is_integer)
         rows = (prev @ np.array(matrix, dtype=float).T)[:, None] + np.array(shifts)
@@ -364,8 +366,15 @@ def _cover_keys(points, cover):
     """Sorted distinct _ravel keys of {z + g : z in points, g in cover}.
 
     Returns (keys, lo, span) for the key box lo + [0, span): int64 keys while
-    it holds fewer than INT64_SAFE cells, Python ints past that.
+    it holds fewer than INT64_SAFE cells, Python ints past that.  Raises
+    ResourceLimitError when the product would exceed the cell budget.
     """
+    need, budget = len(points) * len(cover), max_cells_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"the cover product needs up to {need} cells, "
+            f"budget is {budget} (TILEFORGE_MAX_CELLS)"
+        )
     d = points.shape[1]
     zlo = [int(x) for x in points.min(axis=0)]
     glo = [min((g[i] for g in cover), default=0) for i in range(d)]
@@ -413,12 +422,13 @@ class ContactMatrix:
     """Transition counts k -> M k + b - a on candidate overlap translations.
 
     States are the nonzero integer vectors that can arise as differences of
-    two points of the attractor; counts[i][j] is the number of digit pairs
-    (a, b) with states[j] = M @ states[i] + b - a.
+    two points of the attractor, in lexicographic order; counts[i, j] is the
+    number of digit pairs (a, b) with states[j] = M @ states[i] + b - a, a
+    read-only (n, n) int64 array.  Equality and hashing use the states.
     """
 
     states: tuple
-    counts: tuple
+    counts: np.ndarray = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -442,15 +452,6 @@ class TileReport:
         return _power_radius(self.contact.counts)
 
 
-def _difference_multiset(digits):
-    diffs: dict = {}
-    for a in digits:
-        for b in digits:
-            delta = tuple(bi - ai for ai, bi in zip(a, b))
-            diffs[delta] = diffs.get(delta, 0) + 1
-    return diffs
-
-
 def _power_radius(counts):
     """Perron radius of a nonnegative matrix by power iteration.
 
@@ -461,7 +462,7 @@ def _power_radius(counts):
     n = len(counts)
     if n == 0:
         return 0.0
-    t = np.array(counts, dtype=float) + np.eye(n)
+    t = counts + np.eye(n)
     x = np.ones(n)
     lam = 0.0
     for _ in range(POWER_MAX_ITER):
@@ -488,36 +489,45 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     """
     m = as_int_matrix(matrix)
     d = len(m)
-    diffs = _difference_multiset(digits)
-    lo, hi = _bounding_box_exact(m, tuple(sorted({tuple(map(int, v)) for v in digits})))
+    pts = [tuple(map(int, v)) for v in digits]
+    lo, hi = _bounding_box_exact(m, tuple(sorted(set(pts))))
     # box(G) - box(G) is symmetric: its integer points reach floor(width) each way.
-    widths = [int((h - l) // 1) for l, h in zip(lo, hi)]
-    zero = tuple([0] * d)
-    window = {k for k in product(*(range(-b, b + 1) for b in widths)) if k != zero}
-    # In-window successors (M k + delta, mult) of every window state, formed once.
-    succ = {}
-    for k in window:
-        mk = mat_vec(m, k)
-        pairs = ((tuple(map(operator.add, mk, delta)), mult) for delta, mult in diffs.items())
-        succ[k] = [(s, mult) for s, mult in pairs if s in window]
+    w = [int((h - l) // 1) for l, h in zip(lo, hi)]
+    neg, span = [-b for b in w], [2 * b + 1 for b in w]
+    n = math.prod(span)
+    # |M k + delta| <= ||M||_inf * max(w) + max|delta| bounds every successor.
+    norm = max(sum(map(abs, row)) for row in m)
+    dmax = max(max(c) - min(c) for c in zip(*pts))
+    dtype = np.int64 if norm * max(w) + dmax < INT64_SAFE else object
+    # Window states in row-major key order, which is lexicographic order.
+    window = _unravel(np.arange(n), neg, span).astype(dtype)
+    dig = np.array(pts, dtype=dtype)
+    deltas, mult = _unique_rows((dig[None] - dig[:, None]).reshape(-1, d))
+    rows = (window @ np.array(m, dtype=dtype).T)[:, None] + deltas
+    # Successor keys; n is the dead sentinel for successors off the window.
+    inside = ((rows >= np.array(neg)) & (rows <= np.array(w))).all(axis=2)
+    succ = np.full(inside.shape, n, dtype=np.int64)
+    succ[inside] = _ravel(rows[inside], neg, span)
     # Greatest fixed point: keep states with at least one surviving successor.
-    states = window
+    # The zero state (the centre key) is dead from the start, like the sentinel.
+    alive = np.ones(n + 1, dtype=bool)
+    alive[[n // 2, n]] = False
     while True:
-        survivors = {k for k in states if any(s in states for s, _ in succ[k])}
-        if survivors == states:
+        size = alive.sum()
+        alive[:n] &= alive[succ].any(axis=1)
+        if alive.sum() == size:
             break
-        states = survivors
-    order = sorted(states)
-    index = {k: i for i, k in enumerate(order)}
-    counts = []
-    for k in order:
-        row = [0] * len(order)
-        for s, mult in succ[k]:
-            j = index.get(s)
-            if j is not None:
-                row[j] += mult
-        counts.append(tuple(row))
-    return ContactMatrix(states=tuple(order), counts=tuple(counts))
+    keep = np.flatnonzero(alive[:n])
+    # Survivor positions, -1 for dead keys.  Distinct deltas give distinct
+    # successors of one state, so every (row, column) pair below is unique.
+    pos = np.full(n + 1, -1, dtype=np.int64)
+    pos[keep] = np.arange(len(keep))
+    cols = pos[succ[keep]]
+    hit = cols >= 0
+    counts = np.zeros((len(keep), len(keep)), dtype=np.int64)
+    counts[np.nonzero(hit)[0], cols[hit]] = np.broadcast_to(mult, cols.shape)[hit]
+    counts.flags.writeable = False
+    return ContactMatrix(states=tuple(map(tuple, window[keep].tolist())), counts=counts)
 
 
 def _tile_report_cached(matrix, digits) -> "TileReport":
@@ -550,13 +560,13 @@ def tile_check_exact(matrix, digits) -> TileReport:
         raise ValueError("digits must form a residue system for the matrix")
     modulus = abs(lattice.det(m))
     contact = contact_matrix(m, digits)
-    t = np.array(contact.counts, dtype=np.int64).reshape(len(contact), len(contact))
+    t = contact.counts
+    # Column sums over the remaining states, kept by subtracting dropped rows.
+    col = t.sum(axis=0)
     alive = np.ones(len(contact), dtype=bool)
-    while True:
-        keep = alive & (t[alive].sum(axis=0) >= modulus)
-        if (keep == alive).all():
-            break
-        alive = keep
+    while (drop := alive & (col < modulus)).any():
+        alive &= ~drop
+        col -= t[drop].sum(axis=0)
     is_tile = not alive.any()
     return TileReport(is_tile=is_tile, modulus=modulus, contact=contact,
                       measure=1 if is_tile else None)

@@ -225,7 +225,7 @@ def _corner_cloud(approx: AttractorApprox, grid, mins):
     boundary = grid & ~ndimage.binary_erosion(grid, structure=cross)
     idx = np.argwhere(boundary) + (mins - 1)
     offsets = np.array(list(product((0, 1), repeat=d)), dtype=np.int64)
-    corners = _unique_rows((idx[:, None, :] + offsets[None, :, :]).reshape(-1, d))
+    corners = _unique_rows((idx[:, None, :] + offsets[None, :, :]).reshape(-1, d))[0]
     pts = corners.astype(float)
     minv = np.linalg.inv(np.array(approx.matrix, dtype=float))
     a = np.linalg.matrix_power(minv, approx.depth)

@@ -10,7 +10,6 @@ test, guarded by a conservative tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -110,26 +109,6 @@ def mat_pow(matrix, k: int):
     return result
 
 
-def inverse_fractions(matrix):
-    """Exact inverse as a matrix of Fractions (Gauss-Jordan over Q)."""
-    m = as_int_matrix(matrix)
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def inverse_power(matrix, k: int):
     """Integer matrix P and integer q > 0 with M^-k = P / q, k >= 0.
 
@@ -157,14 +136,6 @@ def inverse_power(matrix, k: int):
     if d < 0 and k % 2:
         p = tuple(tuple(-x for x in row) for row in p)
     return p, abs(d) ** k
-
-
-def frac_mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def is_expanding(matrix) -> bool:

@@ -370,7 +370,44 @@ def test_contact_window_from_digit_box(system):
     lo, hi = bounding_box(m, [tuple(b - a for a, b in zip(x, y)) for x in digits for y in digits])
     assume(math.prod(float(h - l) + 1 for l, h in zip(lo, hi)) <= 500)
     contact = contact_matrix(m, digits)
-    assert (contact.states, contact.counts) == _reference_contact(m, digits)
+    states, counts = _reference_contact(m, digits)
+    assert (contact.states, contact.counts.tolist()) == (states, list(map(list, counts)))
+
+
+def test_contact_matrix_large_window_matches_reference():
+    # The 3-D box form (1, 4, 1) with digits times 5: a 1330-state non-tile.
+    box = BoxForm((1, 4, 1), 1)
+    m = build_cyclic_matrix(box)
+    digits = tuple(tuple(5 * x for x in v) for v in box_digits(box))
+    contact = contact_matrix(m, digits)
+    states, counts = _reference_contact(m, digits)
+    assert len(contact) == 1330
+    assert contact.states == states
+    assert contact.counts.tolist() == list(map(list, counts))
+    assert contact.counts.dtype == np.int64 and not contact.counts.flags.writeable
+    assert contact.counts.sum(axis=0).max() <= abs(det(m))
+
+
+def test_contact_matrix_past_int64_takes_python_ints(monkeypatch):
+    box = BoxForm((1, 1, 2), 1)
+    cases = [(DRAGON_M, DRAGON_D), (((2,),), ((0,), (3,))),
+             (build_cyclic_matrix(box), box_digits(box))]
+    expected = [contact_matrix(m, digits) for m, digits in cases]
+    dtypes = set()
+    real_ravel = attractor._ravel
+
+    def ravel(rows, lo, span):
+        dtypes.add(rows.dtype)
+        return real_ravel(rows, lo, span)
+
+    monkeypatch.setattr(attractor, "_ravel", ravel)
+    monkeypatch.setattr(attractor, "INT64_SAFE", 2)
+    for (m, digits), want in zip(cases, expected):
+        got = contact_matrix(m, digits)
+        assert got.states == want.states
+        assert got.counts.dtype == np.int64
+        assert got.counts.tolist() == want.counts.tolist()
+    assert dtypes == {np.dtype(object)}
 
 
 def test_contact_matrix_counts_row_total():

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, schemas, deterministic output."""
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -265,6 +266,29 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     code, _ = run(capsys, "tile", "measure",
                   "--matrix", "[[2]]", "--digits", "[[0],[3]]", "--depth", "20")
     assert code == 3
+
+
+#: The 3-D box form (1, 4, 1) with digits times 5: 1330 contact states, not a tile.
+SCALED_BOX = ("--matrix", "[[0,1,0],[0,0,4],[1,0,0]]",
+              "--digits", "[[0,0,0],[0,5,0],[0,10,0],[0,15,0]]")
+
+
+def test_cover_product_over_budget_exits_resource(capsys):
+    # At depth 10 the measure bound would form 4^10 * 343 cover keys.
+    start = time.perf_counter()
+    code = main(["tile", "check", *SCALED_BOX])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err and "cover product" in captured.err
+    assert elapsed < 30
+
+
+def test_scaled_box_non_tile_at_depth_4(capsys):
+    code, report = run_json(capsys, "tile", "check", *SCALED_BOX, "--depth", "4")
+    assert code == 1
+    assert report["is_tile"] is False and report["contact_states"] == 1330
+    jsonschema.validate(report, load_schema("tile_check"))
 
 
 @pytest.mark.parametrize("flags", [

