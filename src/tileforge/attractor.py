@@ -44,11 +44,13 @@ class ResourceLimitError(RuntimeError):
 
 
 def max_cells_budget() -> int:
-    raw = os.environ.get("TILEFORGE_MAX_CELLS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_CELLS
-    except ValueError:
+    """TILEFORGE_MAX_CELLS when set, else DEFAULT_MAX_CELLS; ValueError unless positive."""
+    raw = os.environ.get("TILEFORGE_MAX_CELLS", "").strip()
+    if not raw:
         return DEFAULT_MAX_CELLS
+    if not raw.isdecimal() or int(raw) <= 0:
+        raise ValueError(f"TILEFORGE_MAX_CELLS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,17 @@ class AttractorApprox:
 INT64_SAFE = 2 ** 62
 
 
+def _int_dtype(bound):
+    """int64 for integers bounded by `bound` under INT64_SAFE, else object (Python ints)."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def _grid(axes, dtype):
+    """The product of the axes as (n, d) rows, in itertools.product order."""
+    mesh = np.meshgrid(*(np.array(a, dtype=dtype) for a in axes), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
 def _ravel(rows, lo, span):
     """Row-major keys sum_i (x_i - lo_i) * stride_i, ordered like the row tuples."""
     keys = rows[:, 0] - lo[0]
@@ -257,7 +270,7 @@ def _level(matrix, shifts, t, is_integer):
         # |M z + s| <= ||M||_inf * max|z| + max|s| bounds every partial sum.
         norm = max(sum(map(abs, row)) for row in matrix)
         smax = max(abs(x) for s in shifts for x in s)
-        dtype = np.int64 if norm * max(int(np.abs(prev).max()), 1) + smax < INT64_SAFE else object
+        dtype = _int_dtype(norm * max(int(np.abs(prev).max()), 1) + smax)
         mat, sh = (np.array(x, dtype=dtype) for x in (matrix, shifts))
         rows = (prev.astype(dtype, copy=False) @ mat.T)[:, None] + sh
         pts = _unique_rows(rows.reshape(-1, d))[0]
@@ -380,11 +393,27 @@ def _cover_keys(points, cover):
     glo = [min((g[i] for g in cover), default=0) for i in range(d)]
     span = [int(zh) - zl + max((g[i] for g in cover), default=0) - gl + 1
             for i, (zl, zh, gl) in enumerate(zip(zlo, points.max(axis=0), glo))]
-    dtype = np.int64 if points.dtype != object and math.prod(span) < INT64_SAFE else object
+    dtype = _int_dtype(math.prod(span)) if points.dtype != object else object
     kz = _ravel(points.astype(dtype, copy=False), zlo, span)
     kg = _ravel(np.array(cover, dtype=object).reshape(-1, d), glo, span).astype(dtype)
     keys = np.unique((kz[:, None] + kg[None, :]).ravel())
     return keys, [a + b for a, b in zip(zlo, glo)], span
+
+
+def _has_cells(table, rows):
+    """Whether each row of an (n, d) int64 or object array is a cell of `table`
+    (a _cover_keys result), as an (n,) bool array."""
+    keys, lo, span = table
+    hi = [a + n for a, n in zip(lo, span)]
+    if rows.dtype != object:
+        rows = rows.astype(_int_dtype(max(map(abs, lo + hi))), copy=False)
+    inside = ((rows >= lo) & (rows < hi)).all(axis=1)
+    k = _ravel((rows[inside] - lo).astype(keys.dtype), [0] * len(span), span)
+    # No key reaches the box size, so it closes the sorted keys as a sentinel.
+    closed = np.append(keys, math.prod(span))
+    member = np.zeros(len(rows), dtype=bool)
+    member[inside] = closed[np.searchsorted(keys, k)] == k
+    return member
 
 
 def touched_cells(matrix, shifts, depth: int, level: Optional[int] = None):
@@ -498,7 +527,7 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     # |M k + delta| <= ||M||_inf * max(w) + max|delta| bounds every successor.
     norm = max(sum(map(abs, row)) for row in m)
     dmax = max(max(c) - min(c) for c in zip(*pts))
-    dtype = np.int64 if norm * max(w) + dmax < INT64_SAFE else object
+    dtype = _int_dtype(norm * max(w) + dmax)
     # Window states in row-major key order, which is lexicographic order.
     window = _unravel(np.arange(n), neg, span).astype(dtype)
     dig = np.array(pts, dtype=dtype)
@@ -626,26 +655,27 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     p, q = inverse_power(approx.matrix, approx.depth)
     row_neg = [sum(min(x, 0) for x in row) for row in p]
     row_pos = [sum(max(x, 0) for x in row) for row in p]
-    q_lo = [q * lo for lo, _ in window]
-    q_hi = [q * hi for _, hi in window]
     # Candidate sample cells from the corners of M^depth(window).
     mk = mat_pow(approx.matrix, approx.depth)
     corners = [mat_vec(mk, c) for c in product(*[(lo, hi) for lo, hi in window])]
     ranges = [range(min(c[i] for c in corners) - 1, max(c[i] for c in corners) + 1)
               for i in range(d)]
-    samples = []
-    for c in product(*ranges):
-        base = mat_vec(p, c)
-        if all(q_lo[i] <= base[i] + row_neg[i]
-               and base[i] + row_pos[i] <= q_hi[i] for i in range(d)):
-            samples.append(c)
-    if not samples:
-        raise ValueError("window too small: no unit cell fits inside it at this depth")
     # Translate range big enough that every translate meeting the window appears.
     lo_b, hi_b = _bounding_box_exact(approx.matrix, approx.shifts)
     t_ranges = [range(int((window[i][0] - hi_b[i]) // 1),
                       -int(-(window[i][1] - lo_b[i]) // 1) + 1) for i in range(d)]
-    shifted = [mat_vec(mk, t) for t in product(*t_ranges)]
+    # |P c| + q |window| bounds the sample test, |c| + |M^depth t| the differences.
+    cmax, tmax, wmax = (max(abs(x) for r in rs for x in (r[0], r[-1]))
+                        for rs in (ranges, t_ranges, window))
+    pnorm, knorm = (max(sum(map(abs, row)) for row in a) for a in (p, mk))
+    dtype = _int_dtype(max(pnorm * (cmax + 1) + q * wmax, 2 * (cmax + knorm * tmax)))
+    cand = _grid(ranges, dtype)
+    base = cand @ np.array(p, dtype=dtype).T
+    q_lo, q_hi = q * np.array(window, dtype=dtype).T
+    samples = cand[((q_lo <= base + row_neg) & (base + row_pos <= q_hi)).all(axis=1)]
+    if not len(samples):
+        raise ValueError("window too small: no unit cell fits inside it at this depth")
+    shifted = _grid(t_ranges, dtype) @ np.array(mk, dtype=dtype).T
     # A certified tile admits an exact one-layer stand-in: its cells are a
     # complete residue system mod M^depth.  Otherwise count against the
     # geometric unit-cell cover, where boundary cells may deviate.
@@ -654,24 +684,13 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
         cover = [(0,) * d]
     else:
         cover = unit_cell_cover(approx.matrix, approx.shifts)
-    keys, key_lo, span = _cover_keys(approx.points, cover)
+    table = _cover_keys(approx.points, cover)
     # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
-    top = max(abs(x) for v in (*samples, *shifted, key_lo) for x in v)
-    dtype = keys.dtype if 3 * top < INT64_SAFE else object
-    rel = (np.array(samples, dtype=dtype)[:, None, :]
-           - np.array(shifted, dtype=dtype)[None, :, :] - np.array(key_lo, dtype=dtype))
-    inside = ((rel >= 0) & (rel < np.array(span, dtype=dtype))).all(axis=2)
-    k = _ravel(rel[inside], [0] * d, span)
-    # No key reaches the box size, so it closes the sorted keys as a sentinel.
-    closed = np.append(keys, math.prod(span))
-    member = np.zeros(inside.shape, dtype=bool)
-    member[inside] = closed[np.searchsorted(keys, k)] == k
-    per = dict(zip(samples, member.sum(axis=1).tolist()))
-    hist = {}
-    for v in per.values():
-        hist[v] = hist.get(v, 0) + 1
+    rows = (samples[:, None, :] - shifted[None, :, :]).reshape(-1, d)
+    layers = _has_cells(table, rows).reshape(len(samples), -1).sum(axis=1)
+    hist = dict(zip(*(a.tolist() for a in np.unique(layers, return_counts=True))))
     if per_cell:
-        return hist, per
+        return hist, dict(zip(map(tuple, samples.tolist()), layers.tolist()))
     return hist
 
 
@@ -709,6 +728,8 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
     """
     if not approx.is_integer:
         raise ValueError("exact grid indices require integer data")
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     p, q = inverse_power(approx.matrix, approx.depth)
     origin = [Fraction(x) for x in origin]
     b = math.lcm(*(x.denominator for x in origin))
@@ -750,11 +771,7 @@ def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
     else:
         a = np.linalg.matrix_power(np.linalg.inv(np.array(approx.matrix, float)),
                                    approx.depth)
-        lo_f = np.array([float(x) for x in lo])
-        for z in approx.cells:
-            x = a @ np.array(z, float)
-            idx = np.floor((x - lo_f) * resolution).astype(int)
-            idx = np.clip(idx, 0, np.array(extent) - 1)
-            occupancy[tuple(idx)] += 1
+        idx = np.floor((approx.points @ a.T - np.array(lo, dtype=float)) * resolution).astype(int)
+        np.add.at(occupancy, tuple(np.clip(idx, 0, np.array(extent) - 1).T), 1)
     return Raster(origin=tuple(lo), cell_size=Fraction(1, resolution),
                   extent=tuple(extent), occupancy=occupancy)

@@ -11,7 +11,7 @@ All reports are deterministic JSON on stdout (sorted keys, two-space
 indent); images are binary PPM (P6).  Exit codes: 0 success, 1 verified
 negative (not a tile, not a box, no tiling, not simple, not an l-set),
 2 invalid input, 3 resource cap hit.  The environment variable
-TILEFORGE_MAX_CELLS caps the cell budget of attractor construction.
+TILEFORGE_MAX_CELLS (a positive integer) caps the attractor cell budget.
 """
 
 from __future__ import annotations
@@ -136,6 +136,15 @@ def _matrix_digits_from(args, need_digits=True):
     return matrix, digits, params
 
 
+def _positive(args, params, name, default=None):
+    """--name, else params[name], else default: None or a positive integer (else exit 2)."""
+    value = getattr(args, name)
+    value = params.get(name, default) if value is None else value
+    if value is not None and (value := _integral(value)) <= 0:
+        raise InputError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _boxform_from(args):
     spec = {}
     if getattr(args, "spec", None):
@@ -168,7 +177,7 @@ def _boxform_from(args):
 
 def cmd_tile_check(args) -> int:
     matrix, digits, params = _matrix_digits_from(args)
-    depth = args.depth or int(params.get("depth", 10))
+    depth = _positive(args, params, "depth", 10)
     if not lattice.validate_digits(matrix, digits):
         raise InputError("digits are not a residue system for the matrix")
     # measure_upper and shift_cover_layers read the same cached report.
@@ -195,7 +204,7 @@ def cmd_tile_check(args) -> int:
 
 def cmd_tile_measure(args) -> int:
     matrix, digits, params = _matrix_digits_from(args)
-    depth = args.depth or int(params.get("depth", 10))
+    depth = _positive(args, params, "depth", 10)
     mu = attractor.measure_upper(matrix, digits, depth)
     _emit({
         "kind": "tile_measure",
@@ -226,12 +235,13 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 
 def cmd_tile_render(args) -> int:
     matrix, shifts, params = _matrix_digits_from(args)
-    depth = args.depth or int(params.get("depth", 12))
-    resolution = args.resolution or int(params.get("resolution", 64))
+    depth = _positive(args, params, "depth", 12)
+    resolution = _positive(args, params, "resolution", 64)
     if len(matrix) != 2:
         raise InputError("render supports two-dimensional systems")
     approx = attractor.approximate(matrix, shifts, depth)
-    base = set(zip(*attractor.grid_indices(approx, resolution, (0, 0))))
+    gx, gy = (np.array(col, dtype=np.int64)
+              for col in attractor.grid_indices(approx, resolution, (0, 0)))
     if args.tiling:
         window = _parse_window(args.tiling)
         if len(window) != 2:
@@ -239,35 +249,23 @@ def cmd_tile_render(args) -> int:
         (x0, x1), (y0, y1) = window
         if x1 <= x0 or y1 <= y0:
             raise InputError("--tiling window is empty")
-        width = (x1 - x0) * resolution
-        height = (y1 - y0) * resolution
+        width, height = (x1 - x0) * resolution, (y1 - y0) * resolution
         img = np.full((height, width, 3), 255, dtype=np.uint8)
         # Any translate whose bounding box meets the window can contribute.
         lo_b, hi_b = attractor.bounding_box(matrix, shifts)
-        translates = [
-            (tx, ty)
-            for tx in range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
-            for ty in range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
-        ]
-        for index, (tx, ty) in enumerate(sorted(translates)):
-            color = PALETTE[index % len(PALETTE)]
-            ox, oy = tx * resolution, ty * resolution
-            for gx, gy in base:
-                px = gx + ox - x0 * resolution
-                py = gy + oy - y0 * resolution
-                if 0 <= px < width and 0 <= py < height:
-                    row = height - 1 - py
-                    if tuple(img[row, px]) == (255, 255, 255):
-                        img[row, px] = color
+        xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
+        ys = range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
+        # Translates in sorted order, painted last to first so the first keeps each pixel.
+        for index, (tx, ty) in reversed(list(enumerate((tx, ty) for tx in xs for ty in ys))):
+            px = gx + (tx - x0) * resolution
+            py = gy + (ty - y0) * resolution
+            keep = (0 <= px) & (px < width) & (0 <= py) & (py < height)
+            img[height - 1 - py[keep], px[keep]] = PALETTE[index % len(PALETTE)]
     else:
-        xs = [c[0] for c in base]
-        ys = [c[1] for c in base]
-        ox, oy = min(xs), min(ys)
-        width = max(xs) - ox + 1
-        height = max(ys) - oy + 1
+        ox, oy = gx.min(), gy.min()
+        width, height = int(gx.max() - ox) + 1, int(gy.max() - oy) + 1
         img = np.full((height, width, 3), 255, dtype=np.uint8)
-        for gx, gy in base:
-            img[height - 1 - (gy - oy), gx - ox] = PALETTE[0]
+        img[height - 1 - (gy - oy), gx - ox] = PALETTE[0]
     write_ppm(args.out, img)
     occupied = int(np.count_nonzero(np.any(img != 255, axis=2)))
     _emit({
@@ -323,7 +321,7 @@ def cmd_box_detect(args) -> int:
         digits = boxtile.box_digits(form)
     else:
         matrix, digits, _ = _matrix_digits_from(args)
-    depth = args.depth or boxtile.suggested_depth(matrix, digits)
+    depth = _positive(args, {}, "depth") or boxtile.suggested_depth(matrix, digits)
     tol = args.tol if args.tol is not None else 0.05
     approx = attractor.approximate(matrix, digits, depth)
     try:
@@ -379,8 +377,8 @@ def cmd_haar_gram(args) -> int:
         gram = np.array(haar.exact_gram(system), dtype=float)
         edge_fraction = 0.0
     else:
-        resolution = args.resolution or int(params.get("resolution", 64))
-        depth = args.depth or int(params.get("depth", 12))
+        resolution = _positive(args, params, "resolution", 64)
+        depth = _positive(args, params, "depth", 12)
         gram, edge_fraction = haar.raster_gram(system, resolution, depth)
     n = system.generator_count
     dev = np.abs(gram - np.eye(n))

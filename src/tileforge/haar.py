@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .attractor import approximate, bounding_box, touched_cells, _tile_report_cached
+from .attractor import (approximate, bounding_box, unit_cell_cover, _cover_keys, _grid,
+                        _has_cells, _int_dtype, _tile_report_cached, _unravel)
 from .boxtile import NotMonomialError, monomial_structure
 from .lattice import as_int_matrix, mat_pow, mat_vec
 
@@ -175,41 +176,39 @@ def exact_gram(system: HaarSystem):
     )
 
 
-class _PieceClassifier:
-    """Classifies raster sample points into refinement pieces of the tile.
+@lru_cache(maxsize=16)
+def _piece_tables(matrix, digits, depth: int):
+    """_cover_keys tables of the expansion cells at depths K and K+1."""
+    return tuple(_cover_keys(approximate(matrix, digits, k).points, [(0,) * len(matrix)])
+                 for k in (depth, depth + 1))
 
-    The depth-(K+1) expansion cells partition a measure-one stand-in for
-    the tile into disjoint floor-cells: x is claimed iff
-    floor(M^(K+1) x) is an expansion cell, and its piece is the first
-    expansion digit, recovered as the unique d with cell - M^K d among the
+
+def _pieces(matrix, digits, depth: int, num, den: int):
+    """Piece index of each point num / den, or -1 outside the stand-in.
+
+    `num` is an (n, d) integer array.  The depth-(K+1) expansion cells
+    partition a measure-one stand-in for the tile into disjoint floor-cells:
+    x is claimed iff floor(M^(K+1) x) is an expansion cell, and its piece is
+    the first expansion digit, the first d_k with cell - M^K d_k among the
     depth-K cells.  Exact integer arithmetic; no membership ambiguity.
     """
-
-    def __init__(self, matrix, digits, depth: int):
-        fine = approximate(matrix, digits, depth + 1)
-        coarse = approximate(matrix, digits, depth)
-        self.fine = set(fine.cells)
-        self.coarse = set(coarse.cells)
-        self.mk1 = mat_pow(matrix, depth + 1)
-        mk = mat_pow(matrix, depth)
-        self.offsets = [mat_vec(mk, d) for d in digits]
-        self.dim = len(matrix)
-
-    def piece_of(self, num, den):
-        """Piece index for the point num/den, or -1 when outside the stand-in."""
-        base = mat_vec(self.mk1, num)
-        cell = tuple(base[i] // den for i in range(self.dim))
-        if cell not in self.fine:
-            return -1
-        for k, off in enumerate(self.offsets):
-            if tuple(cell[i] - off[i] for i in range(self.dim)) in self.coarse:
-                return k
+    coarse, fine = _piece_tables(matrix, digits, depth)
+    mk = mat_pow(matrix, depth)
+    mk1 = lattice.mat_mul(mk, matrix)
+    # |M^(K+1) num| + |M^K d| bounds every cell and every cell - M^K d.
+    norm1, normk = (max(sum(map(abs, row)) for row in a) for a in (mk1, mk))
+    dmax = max(abs(x) for v in digits for x in v)
+    dtype = _int_dtype(norm1 * int(np.abs(num).max(initial=0)) + normk * dmax)
+    cells = num.astype(dtype) @ np.array(mk1, dtype=dtype).T // den
+    pieces = np.full(len(cells), -1, dtype=np.int32)
+    open_ = np.flatnonzero(_has_cells(fine, cells))
+    for k, lead in enumerate(np.array(digits, dtype=dtype) @ np.array(mk, dtype=dtype).T):
+        hit = _has_cells(coarse, cells[open_] - lead)
+        pieces[open_[hit]] = k
+        open_ = open_[~hit]
+    if len(open_):
         raise AssertionError("expansion cell lost its leading digit")
-
-
-@lru_cache(maxsize=16)
-def _classifier_for(matrix, digits, depth: int) -> _PieceClassifier:
-    return _PieceClassifier(matrix, digits, depth)
+    return pieces
 
 
 def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
@@ -224,14 +223,10 @@ def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
     fr = [Fraction(v) for v in x]
     if len(fr) != len(system.matrix):
         raise ValueError("point has wrong dimension")
-    den = 1
-    for f in fr:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    num = tuple(int(f * den) for f in fr)
-    piece = _classifier_for(system.matrix, system.digits, depth).piece_of(num, den)
-    if piece < 0:
-        return 0.0
-    return system.pieces[s - 1][piece][1]
+    den = math.lcm(*(f.denominator for f in fr))
+    num = np.array([[int(f * den) for f in fr]], dtype=object)
+    piece = int(_pieces(system.matrix, system.digits, depth, num, den)[0])
+    return 0.0 if piece < 0 else system.pieces[s - 1][piece][1]
 
 
 def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
@@ -246,18 +241,11 @@ def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     lo, hi = bounding_box(system.matrix, system.digits)
     d = len(system.matrix)
     counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
-    cls = _PieceClassifier(system.matrix, system.digits, depth)
     den = 2 * resolution
-    axes = []
-    for lo_i, c in zip(lo, counts):
-        a, b = (lo_i * den).as_integer_ratio()
-        # int() of (a + (2j + 1) b) / b: truncation toward zero.
-        axes.append([t // b if t >= 0 else -(-t // b)
-                     for t in (a + (2 * j + 1) * b for j in range(c))])
-    pieces = np.full(counts, -1, dtype=np.int32)
-    for idx, num in zip(product(*[range(c) for c in counts]), product(*axes)):
-        pieces[idx] = cls.piece_of(num, den)
-    return pieces, float(resolution) ** (-d)
+    axes = [[int(lo_i * den + 2 * j + 1) for j in range(c)] for lo_i, c in zip(lo, counts)]
+    num = _grid(axes, _int_dtype(max(abs(x) for a in axes for x in (a[0], a[-1]))))
+    return (_pieces(system.matrix, system.digits, depth, num, den).reshape(counts),
+            float(resolution) ** (-d))
 
 
 def _edge_fraction(pieces: np.ndarray) -> float:
@@ -327,23 +315,19 @@ def shift_orthonormality(matrix, digits, window: int = 1, depth: int = 12) -> fl
     k != 0.  Systems covering in several layers fall back to the unit-cell
     cover, whose overlap counts stay bounded away from zero.
     """
-    m = as_int_matrix(matrix)
-    d = len(m)
+    m, d = as_int_matrix(matrix), len(matrix)
     digits_t = tuple(tuple(int(x) for x in v) for v in digits)
-    if _tile_report_cached(m, digits_t).is_tile:
-        cellset = set(approximate(m, digits_t, depth).cells)
-    else:
-        cellset = touched_cells(m, digits_t, depth)
+    tile = _tile_report_cached(m, digits_t).is_tile
+    cover = [(0,) * d] if tile else unit_cell_cover(m, digits_t)
+    table = _cover_keys(approximate(m, digits_t, depth).points, cover)
     modulus = abs(lattice.det(m)) ** depth
     mk = mat_pow(m, depth)
+    # |cell| + |M^depth k| bounds every shifted cell.
+    knorm = max(sum(map(abs, row)) for row in mk)
+    dtype = _int_dtype(max(map(abs, table[1])) + sum(table[2]) + window * knorm)
+    cells = _unravel(*table).astype(dtype)
     worst = 0.0
     for k in product(*[range(-window, window + 1) for _ in range(d)]):
-        off = mat_vec(mk, k)
-        count = 0
-        for c in cellset:
-            if tuple(c[i] + off[i] for i in range(d)) in cellset:
-                count += 1
-        value = count / modulus
-        target = 1.0 if all(x == 0 for x in k) else 0.0
-        worst = max(worst, abs(value - target))
+        count = int(_has_cells(table, cells + np.array(mat_vec(mk, k), dtype=dtype)).sum())
+        worst = max(worst, abs(count / modulus - (0.0 if any(k) else 1.0)))
     return worst

@@ -107,7 +107,7 @@ def test_memo_caches_concurrent():
 
     def clear():
         for memo in (attractor._bounding_box_exact, attractor._unit_cell_cover,
-                     attractor._level, haar._classifier_for):
+                     attractor._level, haar._piece_tables):
             memo.cache_clear()
 
     def results(start):
@@ -631,6 +631,33 @@ def test_layers_window_too_small():
         shift_cover_layers(approximate([[2]], [(0,), (1,)], 2), window=((0, 0),))
 
 
+def test_layers_past_int64_take_python_ints(monkeypatch):
+    cases = [(((2,),), ((0,), (3,)), 8), (DRAGON_M, DRAGON_D, 10),
+             (DRAGON_M, ((0, 0), (3, 0)), 6)]
+    expected = [shift_cover_layers(approximate(m, d, k), window=((-1, 1),) * len(m),
+                                   per_cell=True) for m, d, k in cases]
+    monkeypatch.setattr(attractor, "INT64_SAFE", 2)
+    for (m, d, k), want in zip(cases, expected):
+        assert shift_cover_layers(approximate(m, d, k), window=((-1, 1),) * len(m),
+                                  per_cell=True) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=30),
+       st.lists(st.tuples(st.integers(-25, 25), st.integers(-25, 25)), min_size=1, max_size=60),
+       st.sampled_from([0, 2 ** 62, -(2 ** 70)]))
+def test_has_cells_matches_set_membership(points, rows, c):
+    # c = 0 keeps int64 keys; the other offsets push the key box past INT64_SAFE.
+    dtype = np.int64 if c == 0 else object
+    table = attractor._cover_keys(np.array([(x + c, y + c) for x, y in points], dtype=dtype),
+                                  [(0, 0)])
+    got = attractor._has_cells(table, np.array([(x + c, y + c) for x, y in rows], dtype=dtype))
+    assert got.tolist() == [r in set(points) for r in rows]
+    if c:
+        # int64 rows far from the key box are never cells
+        assert not attractor._has_cells(table, np.array(rows, dtype=np.int64)).any()
+
+
 # ---------------------------------------------------------------------------
 # rasterize
 # ---------------------------------------------------------------------------
@@ -685,6 +712,30 @@ def test_rasterize_refinement_overlay():
 def test_rasterize_bad_resolution():
     with pytest.raises(ValueError):
         rasterize(approximate([[2]], [(0,), (1,)], 3), 0)
+
+
+@pytest.mark.parametrize("matrix, shifts, depth, resolution", [
+    ([[2]], [[0], [0.5]], 8, 32),
+    ([[3]], [[0], [1.25], [2]], 5, 27),
+    ([[1, 1], [-1, 1]], [[0, 0], [1, 0.5]], 10, 16),
+    ([[2, 0.5], [0, 2]], [[0, 0], [0.5, 0], [0, 1], [1, 1.5]], 5, 16),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [1, 0.5, 0], [0, 1, 0.25]], 4, 8),
+], ids=["1d", "1d-three", "2d", "2d-real-matrix", "3d"])
+def test_rasterize_real_shifts_match_per_cell_loop(matrix, shifts, depth, resolution):
+    approx = approximate(matrix, shifts, depth)
+    r = rasterize(approx, resolution)
+    a = np.linalg.matrix_power(np.linalg.inv(np.array(approx.matrix, float)), depth)
+    lo = np.array([float(x) for x in r.origin])
+    want = np.zeros(r.extent, dtype=np.int64)
+    for z in approx.cells:
+        idx = np.floor((a @ np.array(z, float) - lo) * resolution).astype(int)
+        want[tuple(np.clip(idx, 0, np.array(r.extent) - 1))] += 1
+    assert np.array_equal(r.occupancy, want)
+
+
+def test_grid_indices_reject_bad_resolution():
+    with pytest.raises(ValueError):
+        attractor.grid_indices(approximate([[2]], [(0,), (1,)], 3), 0, (0,))
 
 
 def test_approx_to_json_roundtrip():

@@ -5,10 +5,11 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tileforge import attractor
-from tileforge.cli import main
+from tileforge.cli import PALETTE, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -133,6 +134,66 @@ def test_render_tiling_window(tmp_path, capsys):
     body = raw.split(b"255\n", 1)[1]
     assert b"\xff\xff\xff" not in body
     assert report["occupied_pixels"] == report["width"] * report["height"]
+
+
+def test_render_overlapping_tiling_first_translate_wins(tmp_path, capsys):
+    # The twindragon with digits times 3 covers in several layers, so
+    # translates overlap; each pixel takes the first translate in sorted order.
+    matrix, digits = [[1, 1], [-1, 1]], [[0, 0], [3, 0]]
+    depth, resolution, ((x0, x1), (y0, y1)) = 10, 16, ((0, 3), (-1, 2))
+    out = tmp_path / "overlap.ppm"
+    code, report = run_json(capsys, "tile", "render", "--matrix", json.dumps(matrix),
+                            "--digits", json.dumps(digits), "--depth", str(depth),
+                            "--resolution", str(resolution), "--tiling=0:3,-1:2",
+                            "--out", str(out))
+    assert code == 0
+    approx = attractor.approximate(matrix, digits, depth)
+    base = set(zip(*attractor.grid_indices(approx, resolution, (0, 0))))
+    lo, hi = attractor.bounding_box(matrix, digits)
+    translates = sorted((tx, ty)
+                        for tx in range(x0 - int(hi[0] // 1) - 1, x1 - int(lo[0] // 1) + 1)
+                        for ty in range(y0 - int(hi[1] // 1) - 1, y1 - int(lo[1] // 1) + 1))
+    width, height = (x1 - x0) * resolution, (y1 - y0) * resolution
+    want = np.full((height, width, 3), 255, dtype=np.uint8)
+    for index, (tx, ty) in enumerate(translates):
+        for gx, gy in base:
+            px, py = gx + (tx - x0) * resolution, gy + (ty - y0) * resolution
+            if 0 <= px < width and 0 <= py < height:
+                if tuple(want[height - 1 - py, px]) == (255, 255, 255):
+                    want[height - 1 - py, px] = PALETTE[index % len(PALETTE)]
+    assert out.read_bytes() == f"P6\n{width} {height}\n255\n".encode() + want.tobytes()
+    assert report["occupied_pixels"] == int(np.any(want != 255, axis=2).sum())
+    # the overlaps are real: more than one translate lands on some pixel
+    assert len({tuple(c) for c in want.reshape(-1, 3).tolist()}) > 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("tile", "render", *DRAGON, "--resolution", "0", "--out", "never.ppm"),
+    ("tile", "render", *DRAGON, "--resolution", "-2", "--out", "never.ppm"),
+    ("tile", "render", *DRAGON, "--depth", "0", "--out", "never.ppm"),
+    ("tile", "check", *DRAGON, "--depth", "0"),
+    ("tile", "measure", *DRAGON, "--depth", "-3"),
+    ("box", "detect", *DRAGON, "--depth", "0"),
+    ("haar", "gram", *DRAGON, "--method", "raster", "--resolution", "0", "--depth", "0"),
+    ("haar", "gram", *DRAGON, "--method", "raster", "--depth", "-1"),
+], ids=["render-res0", "render-res-neg", "render-depth0", "check-depth0",
+        "measure-depth-neg", "detect-depth0", "gram-res0", "gram-depth-neg"])
+def test_non_positive_depth_or_resolution_is_input_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "must be positive" in captured.err
+    assert not (tmp_path / "never.ppm").exists()
+
+
+def test_non_positive_spec_param_is_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "attractor", "matrix": [[1, 1], [-1, 1]],
+                                "digits": [[0, 0], [1, 0]], "params": {"resolution": 0}}))
+    code = main(["tile", "render", "--spec", str(path), "--out", str(tmp_path / "x.ppm")])
+    assert code == 2 and "must be positive" in capsys.readouterr().err
 
 
 def test_box_build_example(capsys):
@@ -266,6 +327,16 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     code, _ = run(capsys, "tile", "measure",
                   "--matrix", "[[2]]", "--digits", "[[0],[3]]", "--depth", "20")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["1e2", "abc", "-5", "0"])
+def test_malformed_cell_budget_is_input_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", value)
+    code = main(["tile", "measure", "--matrix", "[[2]]", "--digits", "[[0],[3]]",
+                 "--depth", "12"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "TILEFORGE_MAX_CELLS" in err and "Traceback" not in err
 
 
 #: The 3-D box form (1, 4, 1) with digits times 5: 1330 contact states, not a tile.

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tileforge import attractor, haar
+from tileforge.attractor import approximate
 from tileforge.boxtile import BoxForm, box_digits, build_cyclic_matrix
 from tileforge.haar import (
     build_wavelets,
@@ -18,6 +22,7 @@ from tileforge.haar import (
     shift_orthonormality,
     wavelet_mean,
 )
+from tileforge.lattice import mat_pow, mat_vec
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -161,6 +166,73 @@ def test_evaluate_rect_halves():
             for x in (-0.4, 0.1) for y in (-0.4, 0.1)}
     assert vals <= {1.0, -1.0, 0.0}
     assert 1.0 in vals and -1.0 in vals
+
+
+def reference_pieces(matrix, digits, depth, num, den):
+    """Piece of each point num / den by tuple sets of the expansion cells, -1 outside.
+
+    x is claimed iff floor(M^(K+1) x) is a depth-(K+1) cell; its piece is the
+    first digit d_k with that cell - M^K d_k among the depth-K cells.
+    """
+    fine = set(approximate(matrix, digits, depth + 1).cells)
+    coarse = set(approximate(matrix, digits, depth).cells)
+    mk1 = mat_pow(matrix, depth + 1)
+    offsets = [mat_vec(mat_pow(matrix, depth), d) for d in digits]
+    out = []
+    for row in num:
+        cell = tuple(x // den for x in mat_vec(mk1, row))
+        out.append(-1 if cell not in fine else next(
+            k for k, off in enumerate(offsets)
+            if tuple(c - o for c, o in zip(cell, off)) in coarse))
+    return out
+
+
+BOX_NEG = (((0, 2), (3, 0)), ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
+PIECE_SYSTEMS = {
+    "twindragon": (DRAGON_M, DRAGON_D, 8),
+    "box-neg6": (*BOX_NEG, 3),
+    "three": (((2,),), ((0,), (3,)), 8),
+}
+
+
+@st.composite
+def rational_points(draw, dim):
+    den = draw(st.integers(1, 60))
+    coord = st.integers(-3 * den, 3 * den)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=40))
+    return np.array(rows, dtype=np.int64), den
+
+
+@pytest.mark.parametrize("int64_safe", [None, 64], ids=["int64", "object"])
+@pytest.mark.parametrize("name", sorted(PIECE_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pieces_match_reference_classifier(name, int64_safe, data):
+    matrix, digits, depth = PIECE_SYSTEMS[name]
+    num, den = data.draw(rational_points(len(matrix)))
+    want = reference_pieces(matrix, digits, depth, num.tolist(), den)
+    with pytest.MonkeyPatch.context() as mp:
+        if int64_safe is not None:
+            # Small enough that every level, key table and cell is held as Python ints.
+            mp.setattr(attractor, "INT64_SAFE", int64_safe)
+            haar._piece_tables.cache_clear()
+            attractor._level.cache_clear()
+        try:
+            got = haar._pieces(matrix, digits, depth, num, den)
+            tables = haar._piece_tables(matrix, digits, depth)
+            assert all(t[0].dtype == (np.int64 if int64_safe is None else object) for t in tables)
+        finally:
+            haar._piece_tables.cache_clear()
+            attractor._level.cache_clear()
+    assert got.tolist() == want
+
+
+def test_shift_orthonormality_past_int64_takes_python_ints(monkeypatch):
+    cases = [([[2]], [(0,), (3,)], 8), (DRAGON_M, DRAGON_D, 10),
+             (DRAGON_M, ((0, 0), (3, 0)), 6)]
+    expected = [shift_orthonormality(m, d, depth=k) for m, d, k in cases]
+    monkeypatch.setattr(attractor, "INT64_SAFE", 2)
+    assert [shift_orthonormality(m, d, depth=k) for m, d, k in cases] == expected
 
 
 def test_scaling_consistency_raster():
