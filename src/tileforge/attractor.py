@@ -116,39 +116,37 @@ def bounding_box(matrix, shifts):
 def _bounding_box_exact(matrix, shifts):
     """Scaled-integer evaluation of the coordinate series with certified tail.
 
-    M^{-j} = P^j / q^j with (P, q) = inverse_power(M, 1), so all level sums
-    are integers over q^j and only the per-coordinate accumulators are
-    Fractions.
+    M^{-j} = P^j / q^j with (P, q) = inverse_power(M, 1).  The stopping rule
+    runs on the d x d powers alone, in integers: with r_j = ||P^j||_inf and
+    n_j = n_{j-1} q + r_j, the norm r_j / q^j and the norm sum n_j / q^j.
+    Then one stacked product forms every level's shift images, and the
+    per-coordinate extremes are summed as numerators over q^J.
     """
-    d = len(matrix)
     step, q1 = inverse_power(matrix, 1)
     smax = max(abs(x) for s in shifts for x in s)
-    lo = [Fraction(0)] * d
-    hi = [Fraction(0)] * d
-    power, q = step, q1
-    norm_sum = Fraction(0)
-    half = Fraction(1, 2)
-    j = 0
+    powers = [step]
+    n, q, rmax = 0, q1, 0
     halved = False
     while True:
-        j += 1
-        imgs = [mat_vec(power, s) for s in shifts]
-        for i in range(d):
-            vals = [v[i] for v in imgs]
-            lo[i] += Fraction(min(vals), q)
-            hi[i] += Fraction(max(vals), q)
-        norm = Fraction(max(sum(abs(x) for x in row) for row in power), q)
-        norm_sum += norm
-        if norm <= half:
+        r = max(sum(map(abs, row)) for row in powers[-1])
+        n, rmax = n * q1 + r, max(rmax, r)
+        if 2 * r <= q:
             halved = True
-            # tail of the norm series is at most norm * (2 * norm_sum)
-            tail = norm * 2 * norm_sum * smax
-            if tail <= Fraction(1, 64) or j >= 200:
-                return tuple(x - tail for x in lo), tuple(x + tail for x in hi)
-        if j >= 200 and not halved:
+            # the tail of the norm series is at most norm * (2 * norm_sum)
+            if 128 * r * n * smax <= q * q or len(powers) >= 200:
+                break
+        if len(powers) >= 200 and not halved:
             raise ValueError("matrix does not appear to be expanding")
-        power = lattice.mat_mul(power, step)
+        powers.append(lattice.mat_mul(powers[-1], step))
         q *= q1
+    # |(P^j s)_i| <= r_j * smax bounds every image and its partial sums.
+    dtype = _int_dtype(rmax * max(smax, 1))
+    imgs = np.array(powers, dtype=dtype) @ np.array(shifts, dtype=dtype).T
+    weights = np.array([q1 ** e for e in reversed(range(len(powers)))], dtype=object)
+    lo, hi = (weights @ a.astype(object) for a in (imgs.min(axis=2), imgs.max(axis=2)))
+    tail = Fraction(2 * r * n * smax, q * q)
+    return (tuple(Fraction(x, q) - tail for x in lo.tolist()),
+            tuple(Fraction(x, q) + tail for x in hi.tolist()))
 
 
 def _bounding_box_float(matrix, shifts):
@@ -375,6 +373,14 @@ def _unit_cell_cover(m, sh, level):
     return tuple(sorted(marked))
 
 
+def _check_budget(what, need):
+    """Raise ResourceLimitError when `need` cells exceed the cell budget."""
+    budget = max_cells_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"{what} needs up to {need} cells, budget is {budget} (TILEFORGE_MAX_CELLS)")
+
+
 def _cover_keys(points, cover):
     """Sorted distinct _ravel keys of {z + g : z in points, g in cover}.
 
@@ -382,12 +388,7 @@ def _cover_keys(points, cover):
     it holds fewer than INT64_SAFE cells, Python ints past that.  Raises
     ResourceLimitError when the product would exceed the cell budget.
     """
-    need, budget = len(points) * len(cover), max_cells_budget()
-    if need > budget:
-        raise ResourceLimitError(
-            f"the cover product needs up to {need} cells, "
-            f"budget is {budget} (TILEFORGE_MAX_CELLS)"
-        )
+    _check_budget("the cover product", len(points) * len(cover))
     d = points.shape[1]
     zlo = [int(x) for x in points.min(axis=0)]
     glo = [min((g[i] for g in cover), default=0) for i in range(d)]
@@ -451,16 +452,26 @@ class ContactMatrix:
     """Transition counts k -> M k + b - a on candidate overlap translations.
 
     States are the nonzero integer vectors that can arise as differences of
-    two points of the attractor, in lexicographic order; counts[i, j] is the
-    number of digit pairs (a, b) with states[j] = M @ states[i] + b - a, a
-    read-only (n, n) int64 array.  Equality and hashing use the states.
+    two points of the attractor, in lexicographic order.  `edges` holds the
+    transitions as int64 arrays (rows, cols, mult) sorted by row: mult[e]
+    digit pairs (a, b) give states[cols[e]] = M @ states[rows[e]] + b - a.
+    Equality and hashing use the states.
     """
 
     states: tuple
-    counts: np.ndarray = field(compare=False)
+    edges: tuple = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The transition counts as a read-only dense (n, n) int64 array."""
+        rows, cols, mult = self.edges
+        counts = np.zeros((len(self), len(self)), dtype=np.int64)
+        counts[rows, cols] = mult
+        counts.flags.writeable = False
+        return counts
 
 
 @dataclass(frozen=True)
@@ -528,10 +539,11 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     norm = max(sum(map(abs, row)) for row in m)
     dmax = max(max(c) - min(c) for c in zip(*pts))
     dtype = _int_dtype(norm * max(w) + dmax)
-    # Window states in row-major key order, which is lexicographic order.
-    window = _unravel(np.arange(n), neg, span).astype(dtype)
     dig = np.array(pts, dtype=dtype)
     deltas, mult = _unique_rows((dig[None] - dig[:, None]).reshape(-1, d))
+    _check_budget("the contact window", n * len(deltas))
+    # Window states in row-major key order, which is lexicographic order.
+    window = _unravel(np.arange(n), neg, span).astype(dtype)
     rows = (window @ np.array(m, dtype=dtype).T)[:, None] + deltas
     # Successor keys; n is the dead sentinel for successors off the window.
     inside = ((rows >= np.array(neg)) & (rows <= np.array(w))).all(axis=2)
@@ -553,10 +565,10 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     pos[keep] = np.arange(len(keep))
     cols = pos[succ[keep]]
     hit = cols >= 0
-    counts = np.zeros((len(keep), len(keep)), dtype=np.int64)
-    counts[np.nonzero(hit)[0], cols[hit]] = np.broadcast_to(mult, cols.shape)[hit]
-    counts.flags.writeable = False
-    return ContactMatrix(states=tuple(map(tuple, window[keep].tolist())), counts=counts)
+    edges = (np.nonzero(hit)[0], cols[hit], np.broadcast_to(mult, cols.shape)[hit])
+    for a in edges:
+        a.flags.writeable = False
+    return ContactMatrix(states=tuple(map(tuple, window[keep].tolist())), edges=edges)
 
 
 def _tile_report_cached(matrix, digits) -> "TileReport":
@@ -589,13 +601,17 @@ def tile_check_exact(matrix, digits) -> TileReport:
         raise ValueError("digits must form a residue system for the matrix")
     modulus = abs(lattice.det(m))
     contact = contact_matrix(m, digits)
-    t = contact.counts
-    # Column sums over the remaining states, kept by subtracting dropped rows.
-    col = t.sum(axis=0)
+    rows, cols, mult = contact.edges
+
+    def col_sums(sel):
+        return np.bincount(np.repeat(cols[sel], mult[sel]), minlength=len(contact))
+
+    # Column sums over the remaining states, kept by subtracting the edges of dropped rows.
+    col = col_sums(slice(None))
     alive = np.ones(len(contact), dtype=bool)
     while (drop := alive & (col < modulus)).any():
         alive &= ~drop
-        col -= t[drop].sum(axis=0)
+        col -= col_sums(drop[rows])
     is_tile = not alive.any()
     return TileReport(is_tile=is_tile, modulus=modulus, contact=contact,
                       measure=1 if is_tile else None)

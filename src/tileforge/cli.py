@@ -130,6 +130,8 @@ def _matrix_digits_from(args, need_digits=True):
         matrix = [[_integral(x) for x in row] for row in matrix]
         digits = [tuple(v) if hasattr(v, "__len__") else (v,) for v in digits]
         digits = [tuple(_integral(x) for x in v) for v in digits]
+        if any(abs(x) > lattice.MAX_ENTRY for v in digits for x in v):
+            raise OverflowError("digit entries exceed the 64-bit input bound")
     except (TypeError, ValueError) as exc:
         raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
     params = spec.get("params", {}) if spec else {}

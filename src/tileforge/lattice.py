@@ -10,6 +10,7 @@ test, guarded by a conservative tolerance.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -97,10 +98,10 @@ def mat_mul(a, b):
 
 
 def mat_pow(matrix, k: int):
-    """Integer matrix power, k >= 0."""
+    """Integer matrix power, k >= 0, by squaring; entries of any size."""
     n = len(matrix)
     result = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    base = as_int_matrix(matrix)
+    base = tuple(tuple(int(x) for x in row) for row in matrix)
     while k:
         if k & 1:
             result = mat_mul(result, base)
@@ -115,9 +116,13 @@ def inverse_power(matrix, k: int):
     M^-1 = adj(M) / det(M), so M^-k = adj^k / det^k; the sign of det^k is
     folded into P.  The exact maps by M^-k in the package (rasters, covers,
     bounding boxes, residues) use this pair, so floors and comparisons of
-    M^-k z stay in plain integers.
+    M^-k z stay in plain integers.  Memoised on the frozen matrix and k.
     """
-    m = as_int_matrix(matrix)
+    return _inverse_power(as_int_matrix(matrix), k)
+
+
+@lru_cache(maxsize=256)
+def _inverse_power(m, k):
     n = len(m)
     d = det(m)
     if d == 0:
@@ -130,9 +135,7 @@ def inverse_power(matrix, k: int):
                                          for r, row in enumerate(m) if r != j])
                   for j in range(n))
             for i in range(n))
-    p = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for _ in range(k):
-        p = mat_mul(p, adj)
+    p = mat_pow(adj, k)
     if d < 0 and k % 2:
         p = tuple(tuple(-x for x in row) for row in p)
     return p, abs(d) ** k

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_scaled_map import _vectors, expanding_matrices
 
-from tileforge import attractor, haar
+from tileforge import attractor, haar, lattice
 from tileforge.attractor import (
     ResourceLimitError,
     approximate,
@@ -27,7 +27,7 @@ from tileforge.attractor import (
     unit_cell_cover,
 )
 from tileforge.boxtile import BoxForm, box_digits, build_cyclic_matrix
-from tileforge.lattice import det, mat_vec, residue_system
+from tileforge.lattice import det, inverse_power, mat_mul, mat_vec, residue_system
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -107,7 +107,7 @@ def test_memo_caches_concurrent():
 
     def clear():
         for memo in (attractor._bounding_box_exact, attractor._unit_cell_cover,
-                     attractor._level, haar._piece_tables):
+                     attractor._level, haar._piece_tables, lattice._inverse_power):
             memo.cache_clear()
 
     def results(start):
@@ -278,11 +278,19 @@ def test_tile_check_rejects_bad_digits():
         tile_check_exact([[1, 0], [0, 2]], [(0, 0), (1, 0)])
 
 
+def _forbid_dense_counts(monkeypatch):
+    def no_dense(contact):
+        raise AssertionError("the tile verdict must run on the edge list")
+
+    monkeypatch.setattr(attractor.ContactMatrix, "counts", property(no_dense))
+
+
 def test_tile_verdict_needs_no_floats(monkeypatch):
     def no_floats(counts):
         raise AssertionError("the tile verdict must not estimate the Perron radius")
 
     monkeypatch.setattr(attractor, "_power_radius", no_floats)
+    _forbid_dense_counts(monkeypatch)
     box = BoxForm((1, 1, 2), 1)
     cases = [
         (DRAGON_M, DRAGON_D, True),
@@ -325,6 +333,99 @@ def test_tile_verdict_is_perron_radius_below_modulus(system):
     rho = attractor._power_radius(report.contact.counts)
     if abs(rho - modulus) >= 1e-3:
         assert report.is_tile == (rho < modulus), (m, digits, rho)
+    assert report.is_tile == _dense_verdict(report.contact.counts, modulus)
+
+
+def _dense_verdict(counts, modulus):
+    """The column-sum fixed point on the dense contact matrix."""
+    col = counts.sum(axis=0)
+    alive = np.ones(len(counts), dtype=bool)
+    while (drop := alive & (col < modulus)).any():
+        alive &= ~drop
+        col -= counts[drop].sum(axis=0)
+    return not alive.any()
+
+
+def test_scaled_dragon_verdict_needs_no_dense_matrix(monkeypatch):
+    # Digits times 101: 66,672 contact states, a 33 GiB dense matrix.
+    _forbid_dense_counts(monkeypatch)
+    report = tile_check_exact(DRAGON_M, ((0, 0), (101, 0)))
+    assert not report.is_tile and len(report.contact) == 66672
+    assert report.spectral_radius == 2.0
+
+
+def test_contact_window_over_budget(monkeypatch):
+    # The twindragon with digits times 3 has a 9 x 11 window and 3 digit differences.
+    m, digits = DRAGON_M, ((0, 0), (3, 0))
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "297")
+    assert len(contact_matrix(m, digits)) > 0
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "296")
+    with pytest.raises(ResourceLimitError, match="contact window"):
+        contact_matrix(m, digits)
+
+
+def _reference_box(matrix, shifts):
+    """The box series summed level by level with Fraction accumulators."""
+    d = len(matrix)
+    step, q1 = inverse_power(matrix, 1)
+    smax = max(abs(x) for s in shifts for x in s)
+    lo = [Fraction(0)] * d
+    hi = [Fraction(0)] * d
+    power, q = step, q1
+    norm_sum = Fraction(0)
+    j = 0
+    halved = False
+    while True:
+        j += 1
+        imgs = [mat_vec(power, s) for s in shifts]
+        for i in range(d):
+            vals = [v[i] for v in imgs]
+            lo[i] += Fraction(min(vals), q)
+            hi[i] += Fraction(max(vals), q)
+        norm = Fraction(max(sum(abs(x) for x in row) for row in power), q)
+        norm_sum += norm
+        if norm <= Fraction(1, 2):
+            halved = True
+            tail = norm * 2 * norm_sum * smax
+            if tail <= Fraction(1, 64) or j >= 200:
+                return tuple(x - tail for x in lo), tuple(x + tail for x in hi)
+        if j >= 200 and not halved:
+            raise ValueError("matrix does not appear to be expanding")
+        power = mat_mul(power, step)
+        q *= q1
+
+
+def _box_dtypes(monkeypatch, matrix, shifts):
+    """The exact box, bypassing its memo, and the dtypes its product used."""
+    dtypes = []
+    real = attractor._int_dtype
+    monkeypatch.setattr(attractor, "_int_dtype", lambda bound: dtypes.append(real(bound)) or dtypes[-1])
+    return attractor._bounding_box_exact.__wrapped__(matrix, shifts), dtypes
+
+
+@settings(max_examples=80, deadline=None)
+@given(digit_systems(), st.booleans(), st.booleans())
+def test_bounding_box_matches_level_reference(system, differences, small_int64):
+    m, digits = system
+    if differences:
+        digits = [tuple(b - a for a, b in zip(x, y)) for x in digits for y in digits]
+    shifts = tuple(sorted(set(digits)))
+    with pytest.MonkeyPatch.context() as mp:
+        if small_int64:
+            mp.setattr(attractor, "INT64_SAFE", 1)
+        box, dtypes = _box_dtypes(mp, m, shifts)
+    assert repr(box) == repr(_reference_box(m, shifts))
+    assert dtypes == [object if small_int64 else np.int64]
+
+
+@pytest.mark.parametrize("matrix, shifts", [
+    (((5, 2 ** 40), (0, 5)), tuple((a, b) for a in range(5) for b in range(5))),
+    (((2,),), ((0,), (2 ** 62,))),
+], ids=["shear-2^40", "shift-2^62"])
+def test_bounding_box_past_int64_matches_level_reference(monkeypatch, matrix, shifts):
+    box, dtypes = _box_dtypes(monkeypatch, matrix, shifts)
+    assert repr(box) == repr(_reference_box(matrix, shifts))
+    assert dtypes == [object]
 
 
 def test_non_tile_radius_is_exactly_modulus():
@@ -386,6 +487,7 @@ def test_contact_matrix_large_window_matches_reference():
     assert contact.counts.tolist() == list(map(list, counts))
     assert contact.counts.dtype == np.int64 and not contact.counts.flags.writeable
     assert contact.counts.sum(axis=0).max() <= abs(det(m))
+    assert [a.dtype for a in contact.edges] == [np.dtype(np.int64)] * 3
 
 
 def test_contact_matrix_past_int64_takes_python_ints(monkeypatch):

@@ -355,6 +355,16 @@ def test_cover_product_over_budget_exits_resource(capsys):
     assert elapsed < 30
 
 
+@pytest.mark.parametrize("scale, stage", [(101, "cover product"), (1001, "contact window")])
+def test_scaled_dragon_over_budget_exits_resource(scale, stage, capsys):
+    # Times 101 the verdict runs on 66,672 contact states, then the measure
+    # bound is over budget; times 1001 the contact window itself is.
+    code = main(["tile", "check", *DRAGON[:3], f"[[0,0],[{scale},0]]"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err and stage in captured.err
+
+
 def test_scaled_box_non_tile_at_depth_4(capsys):
     code, report = run_json(capsys, "tile", "check", *SCALED_BOX, "--depth", "4")
     assert code == 1
