@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -179,6 +180,39 @@ def _bounding_box_float(matrix, shifts):
 # depth-K approximation
 # ---------------------------------------------------------------------------
 
+class CellView(Sequence):
+    """Read-only sequence of the rows of a cell array as tuples of Python numbers.
+
+    The length is the row count; tuples are built only on indexing and
+    iteration.  A view equals a tuple, or another view, with the same cells
+    in the same order.
+    """
+
+    __slots__ = ("_points",)
+
+    def __init__(self, points):
+        self._points = points
+
+    def __len__(self):
+        return len(self._points)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(tuple, self._points[index].tolist()))
+        return tuple(self._points[index].tolist())
+
+    def __iter__(self):
+        return map(tuple, self._points.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, CellView)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"CellView({len(self)} cells)"
+
+
 @dataclass(frozen=True)
 class AttractorApprox:
     """Depth-K truncation of an attractor as lattice cells.
@@ -199,10 +233,10 @@ class AttractorApprox:
     def dim(self) -> int:
         return len(self.matrix)
 
-    @cached_property
-    def cells(self) -> tuple:
-        """The cells as a sorted tuple of tuples of Python numbers."""
-        return tuple(map(tuple, self.points.tolist()))
+    @property
+    def cells(self) -> CellView:
+        """The cells in order, as a read-only sequence of tuples of Python numbers."""
+        return CellView(self.points)
 
     def to_json(self) -> dict:
         """JSON-ready cell list: matrix, shifts, depth and the cells."""
@@ -210,7 +244,7 @@ class AttractorApprox:
             "matrix": [list(r) for r in self.matrix],
             "shifts": [list(s) for s in self.shifts],
             "depth": self.depth,
-            "cells": [list(z) for z in self.cells],
+            "cells": self.points.tolist(),
         }
 
 

@@ -6,21 +6,27 @@ corner +-p_n; the matching digit set is the grid {0..p_1-1} x ... x
 {0..p_n-1} (last axis signed), and the attractor it generates is an exact
 box.  The reverse decision for an arbitrary matrix is out of scope: only
 genuinely monomial matrices are classified, via their permutation/cycle
-structure.  A numeric classifier decides "is this approximated attractor a
-parallelepiped" from the convex hull of its cells against the best-fitting
-parallelepiped spanned by hull facet directions.
+structure.  For a monomial matrix, box_certificate proves in exact rational
+arithmetic that the attractor is a given axis box, or refuses.  Everything
+the certificate refuses goes to a numeric classifier, which decides "is this
+approximated attractor a parallelepiped" from the convex hull of its cells
+against the best-fitting parallelepiped spanned by hull facet directions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import lattice
-from .attractor import AttractorApprox, _unique_rows, unit_cell_cover
+from .attractor import (AttractorApprox, _freeze_shifts, _int_dtype, _unique_rows,
+                        unit_cell_cover)
 from .lattice import as_int_matrix
 
 #: Cell-count ceiling for the depth chosen by suggested_depth.
@@ -189,7 +195,82 @@ def monomial_structure(matrix) -> MonomialStructure:
 
 
 # ---------------------------------------------------------------------------
-# numeric parallelepiped detection
+# exact box certificate
+# ---------------------------------------------------------------------------
+
+def _solve_cycles(ms: MonomialStructure, coef, rhs):
+    """Solve coef[j] * u[j] = u[perm[j]] + rhs[j] for every axis j, cycle by cycle.
+
+    Along a cycle, u[perm[j]] = coef[j] * u[j] - rhs[j] is affine in the value
+    x at its first axis; coming back to that axis fixes x.  None when some
+    cycle's coefficient product is 1, so x is not determined.
+    """
+    u = [None] * len(coef)
+    for cyc in ms.cycles:
+        forms = []
+        a, b = 1, 0                      # u[j] = a * x + b
+        for j in cyc:
+            forms.append((j, a, b))
+            a, b = coef[j] * a, coef[j] * b - rhs[j]
+        if a == 1:
+            return None
+        x = Fraction(b) / (1 - a)
+        for j, aj, bj in forms:
+            u[j] = aj * x + bj
+    return u
+
+
+def box_certificate(matrix, digits):
+    """Exact axis box (lo, hi) of Fractions that is the attractor, or None.
+
+    Certifies a monomial M (M e_j = c_j e_i) with |D| = |det M|.  The box
+    B = [lo, hi] solves c_j [lo_j, hi_j] = [lo_i + min_a a_i, hi_i + max_a a_i]
+    (ends swapped when c_j < 0), so M B is the bounding box of the union of
+    the B + a and every piece M^-1(B + a) lies in B.  When all widths are
+    positive and every two digits differ by at least a full width on some
+    axis, the pieces are interior-disjoint; their volumes add up to vol B,
+    so they tile B, B satisfies the set equation and is the attractor G.
+    Any other system is refused with None; that is no verdict on G.
+    """
+    m = as_int_matrix(matrix)
+    shifts, integral = _freeze_shifts(digits, len(m))
+    if not integral:
+        raise ValueError("box certificates require integer digits")
+    return _box_certificate(m, shifts)
+
+
+@lru_cache(maxsize=256)
+def _box_certificate(m, digits):
+    try:
+        ms = monomial_structure(m)
+    except NotMonomialError:
+        return None
+    if len(digits) != math.prod(abs(c) for c in ms.multipliers):
+        return None
+    d = len(m)
+    perm, mult = ms.permutation, ms.multipliers
+    low = [min(a[i] for a in digits) for i in range(d)]
+    high = [max(a[i] for a in digits) for i in range(d)]
+    # Widths: |c_j| w_j = w_i + (high_i - low_i) with i = perm[j].
+    widths = _solve_cycles(ms, [abs(c) for c in mult],
+                           [high[perm[j]] - low[perm[j]] for j in range(d)])
+    if widths is None or min(widths) <= 0:
+        return None
+    # Lower ends: c_j lo_j = lo_i + low_i, plus |c_j| w_j when c_j < 0 maps hi_j to lo_i.
+    lo = _solve_cycles(ms, mult, [low[perm[j]] + (abs(c) * widths[j] if c < 0 else 0)
+                                  for j, c in enumerate(mult)])
+    # Integer digit gaps reach a width w exactly when they reach ceil(w).
+    gaps = [-(-w.numerator // w.denominator) for w in widths]
+    dtype = _int_dtype(max(2 * max(abs(x) for a in digits for x in a), *gaps))
+    pts, gaps = np.array(digits, dtype=dtype), np.array(gaps, dtype=dtype)
+    for k in range(len(pts) - 1):
+        if not (np.abs(pts[k + 1:] - pts[k]) >= gaps).any(axis=1).all():
+            return None
+    return tuple(lo), tuple(a + w for a, w in zip(lo, widths))
+
+
+# ---------------------------------------------------------------------------
+# parallelepiped detection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -201,6 +282,7 @@ class ParallelepipedReport:
     measure_estimate: float
     interior_estimate: float
     tol: float
+    certified: bool = False
 
 
 def _cell_grid(points):
@@ -226,21 +308,9 @@ def _corner_cloud(approx: AttractorApprox, grid, mins):
     idx = np.argwhere(boundary) + (mins - 1)
     offsets = np.array(list(product((0, 1), repeat=d)), dtype=np.int64)
     corners = _unique_rows((idx[:, None, :] + offsets[None, :, :]).reshape(-1, d))[0]
-    pts = corners.astype(float)
     minv = np.linalg.inv(np.array(approx.matrix, dtype=float))
     a = np.linalg.matrix_power(minv, approx.depth)
-    pts = pts @ a.T
-    if d >= 4 and len(pts) > 20000:
-        # Deterministic subsample, keeping the extremes of every signed
-        # coordinate direction so the hull cannot collapse.
-        keep = set()
-        for sigma in product((-1.0, 1.0), repeat=d):
-            proj = pts @ np.array(sigma)
-            keep.add(int(np.argmax(proj)))
-        stride = len(pts) // 20000 + 1
-        keep.update(range(0, len(pts), stride))
-        pts = pts[sorted(keep)]
-    return pts
+    return corners.astype(float) @ a.T
 
 
 def _canonical_normal(n):
@@ -294,24 +364,33 @@ def _min_parallelepiped(pts, d):
 
 
 def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> ParallelepipedReport:
-    """Decide numerically whether the approximated attractor is a box.
+    """Decide whether the approximated attractor is a box.
 
-    Two checks at tolerance `tol` (calibrated for depth 8 in dimension <= 3,
-    with the cover bracket loosening at shallow depths):
+    A system with a box_certificate is a box, exactly: the report is
+    certified, its edges are the box's axis edges and every volume field is
+    the box volume.  Otherwise the decision is numeric, with two checks at
+    tolerance `tol` (calibrated for depth 8 in dimension <= 3, with the
+    cover bracket loosening at shallow depths):
 
       * the convex hull of the cell corners fills at least (1 - tol) of the
         smallest enclosing parallelepiped spanned by hull facet directions;
       * the hull volume is consistent with the measure bracket from the
         self-similar cover (interior count below, touched count above).
-
-    Dimensions 1..3 use the full boundary-corner cloud; higher dimensions
-    subsample it deterministically.
     """
-    from scipy import ndimage
-
     if not approx.is_integer:
         raise ValueError("parallelepiped detection requires integer data")
     d = approx.dim
+    box = box_certificate(approx.matrix, approx.shifts)
+    if box is not None:
+        widths = [b - a for a, b in zip(*box)]
+        vol = float(math.prod(widths))
+        edges = tuple(tuple(float(w) if i == j else 0.0 for i in range(d))
+                      for j, w in enumerate(widths))
+        return ParallelepipedReport(
+            is_box=True, edge_vectors=edges, hull_volume=vol, fit_volume=vol,
+            measure_estimate=vol, interior_estimate=vol, tol=tol, certified=True)
+    from scipy import ndimage
+
     rel = approx.points.astype(float)
     if len(rel) < 2 or np.linalg.matrix_rank(rel - rel[0]) < d:
         raise DegeneratePointCloudError(

@@ -337,6 +337,7 @@ def cmd_box_detect(args) -> int:
         "depth": depth,
         "tol": tol,
         "is_box": report.is_box,
+        "certified": report.certified,
         "hull_volume": report.hull_volume,
         "fit_volume": report.fit_volume,
         "measure_estimate": report.measure_estimate,
@@ -547,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sign", help="+ or -")
         p.add_argument("--spec", help="boxform spec JSON file")
         p.set_defaults(func=fn)
-    p = bsub.add_parser("detect", help="numeric parallelepiped check")
+    p = bsub.add_parser("detect", help="parallelepiped check: exact certificate for "
+                                       "monomial systems, numeric otherwise")
     _add_system_flags(p)
     p.add_argument("-p", help="boxform edge splits (build then detect)")
     p.add_argument("--sign")

@@ -30,7 +30,7 @@ import numpy as np
 from . import lattice
 from .attractor import (approximate, bounding_box, unit_cell_cover, _cover_keys, _grid,
                         _has_cells, _int_dtype, _tile_report_cached, _unravel)
-from .boxtile import NotMonomialError, monomial_structure
+from .boxtile import box_certificate
 from .lattice import as_int_matrix, mat_pow, mat_vec
 
 
@@ -132,11 +132,9 @@ def wavelet_mean(system: HaarSystem, s: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _is_box_system(system: HaarSystem) -> bool:
-    try:
-        monomial_structure(system.matrix)
-        return True
-    except NotMonomialError:
-        return False
+    """Whether the attractor is a certified box of volume one, a box tile."""
+    box = box_certificate(system.matrix, system.digits)
+    return box is not None and math.prod(b - a for a, b in zip(*box)) == 1
 
 
 def exact_inner(system: HaarSystem, i: int, j: int) -> Fraction:

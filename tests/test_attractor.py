@@ -840,6 +840,30 @@ def test_grid_indices_reject_bad_resolution():
         attractor.grid_indices(approximate([[2]], [(0,), (1,)], 3), 0, (0,))
 
 
+class _RowlessPoints:
+    """A cell array stand-in that has a length but refuses to build rows."""
+
+    def __len__(self):
+        return 7
+
+    def tolist(self):
+        raise AssertionError("rows were built")
+
+
+def test_cells_view_is_a_lazy_sequence():
+    assert len(attractor.CellView(_RowlessPoints())) == 7
+    for a in [approximate([[2]], [(0,), (3,)], 3),
+              approximate(DRAGON_M, [(0.0, 0.5), (1.0, 0.0)], 3),
+              approximate([[5, 2 ** 62], [0, 5]], [(a, b) for a in range(5) for b in range(5)], 1)]:
+        cells = tuple(map(tuple, a.points.tolist()))
+        assert len(a.cells) == len(a.points) == len(cells)
+        assert a.cells == cells and cells == a.cells and a.cells == a.cells
+        assert a.cells != cells[:-1] and a.cells != list(cells)
+        assert (a.cells[0], a.cells[-1], a.cells[1:3]) == (cells[0], cells[-1], cells[1:3])
+        assert list(a.cells) == list(cells) and cells[-1] in a.cells
+        assert a.to_json()["cells"] == [list(z) for z in cells]
+
+
 def test_approx_to_json_roundtrip():
     import json
     a = approximate(DRAGON_M, DRAGON_D, 3)

@@ -1,16 +1,22 @@
 """Cyclic forms, box digit sets, tensor products, monomial structure, box detection."""
 
 import itertools
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tileforge import lattice
-from tileforge.attractor import approximate, rasterize, tile_check_exact, bounding_box
+from tileforge import attractor, boxtile, lattice
+from tileforge.attractor import (approximate, rasterize, tile_check_exact, bounding_box,
+                                 unit_cell_cover)
 from tileforge.boxtile import (
     BoxForm,
     DegeneratePointCloudError,
     NotMonomialError,
+    box_certificate,
     box_digits,
     build_cyclic_matrix,
     is_parallelepiped,
@@ -18,6 +24,7 @@ from tileforge.boxtile import (
     suggested_depth,
     tensor_product,
 )
+from tileforge.cli import main as cli_main
 
 
 def all_forms(max_n, max_prod):
@@ -228,3 +235,126 @@ def test_box_roundtrip_small_forms():
         d = box_digits(form)
         report = is_parallelepiped(approximate(m, d, suggested_depth(m, d)))
         assert report.is_box, (form, report)
+
+
+# ---------------------------------------------------------------------------
+# exact box certificate
+# ---------------------------------------------------------------------------
+
+#: The criterion-3 cyclic forms: n <= 4, prod(p) <= 16, both signs.
+CRITERION_3_FORMS = list(all_forms(4, 16))
+
+
+def _scaled_form(form, c):
+    m = build_cyclic_matrix(form)
+    return m, tuple(tuple(c * x for x in a) for a in box_digits(form))
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(CRITERION_3_FORMS), c=st.sampled_from([1, 2, 3, 5, -3]))
+def test_scaled_box_forms_certify(form, c):
+    # G(M, cD) = c G(M, D): the digits times c give a translate of |c| [0,1]^d
+    m, digits = _scaled_form(form, c)
+    lo, hi = box_certificate(m, digits)
+    assert all(b - a == abs(c) for a, b in zip(lo, hi))
+    report = is_parallelepiped(approximate(m, digits, suggested_depth(m, digits)))
+    assert report.is_box and report.certified
+    assert report.hull_volume == report.fit_volume == float(abs(c) ** len(m))
+    assert report.edge_vectors == tuple(
+        tuple(float(abs(c)) if i == j else 0.0 for i in range(len(m))) for j in range(len(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(CRITERION_3_FORMS), c=st.sampled_from([1, 2, 3, 5, -3]))
+def test_certified_box_lies_in_bounding_box(form, c):
+    # the bounding box adds its tail (at most 1/64) to partial sums that are
+    # within the tail of the exact extremes
+    m, digits = _scaled_form(form, c)
+    lo, hi = box_certificate(m, digits)
+    blo, bhi = attractor._bounding_box_exact(m, tuple(sorted(digits)))
+    for a, b, ba, bb in zip(lo, hi, blo, bhi):
+        assert ba <= a <= ba + Fraction(1, 32)
+        assert bb - Fraction(1, 32) <= b <= bb
+
+
+def test_certificate_matches_interval_attractors():
+    assert box_certificate([[2]], [(0,), (3,)]) == ((0,), (3,))
+    # sum of (-1/2)^k d_k over d_k in {0, -1}
+    assert box_certificate([[-2]], [(0,), (-1,)]) == ((Fraction(-1, 3),), (Fraction(2, 3),))
+
+
+@pytest.mark.parametrize("matrix,digits", [
+    ([[1, 1], [-1, 1]], [(0, 0), (1, 0)]),      # twindragon: not monomial
+    ([[3]], [(0,), (1,), (5,)]),                # pieces overlap
+    ([[2, 0], [0, 2]], [(0, 0), (1, 0)]),       # |D| != |det M| and a zero width
+    ([[2, 0], [0, 2]], [(0, 0), (1, 0), (2, 0), (3, 0)]),  # zero width
+    ([[1, 0], [0, 2]], [(0, 0), (0, 1)]),       # a cycle that does not expand
+])
+def test_certificate_refuses(matrix, digits):
+    assert box_certificate(matrix, digits) is None
+
+
+def _numeric_reference(approx, tol=0.05):
+    """The numeric detector as it was before the certificate: the report's
+    fields as a tuple."""
+    from scipy import ndimage
+
+    d = approx.dim
+    rel = approx.points.astype(float)
+    if len(rel) < 2 or np.linalg.matrix_rank(rel - rel[0]) < d:
+        raise DegeneratePointCloudError("degenerate")
+    scale = abs(lattice.det(approx.matrix)) ** approx.depth
+    cover = np.array(unit_cell_cover(approx.matrix, approx.shifts), dtype=np.int64)
+    grid, mins = boxtile._cell_grid(approx.points)
+    offsets = cover - cover.min(axis=0)
+    touched = np.zeros(tuple(np.array(grid.shape) + offsets.max(axis=0)), dtype=bool)
+    for g in offsets:
+        touched[tuple(slice(a, a + n) for a, n in zip(g, grid.shape))] |= grid
+    interior = ndimage.binary_erosion(touched, structure=np.ones((3,) * d, dtype=bool))
+    vol_hi = int(np.count_nonzero(touched)) / scale
+    vol_lo = int(np.count_nonzero(interior)) / scale
+    if d == 1:
+        zs = approx.points[:, 0]
+        width = (int(zs.max()) - int(zs.min()) + 1) / abs(approx.matrix[0][0]) ** approx.depth
+        hull_volume = fit_volume = float(width)
+        edges = ((float(width),),)
+    else:
+        pts = boxtile._corner_cloud(approx, grid, mins)
+        hull_volume, fit_volume, edges = boxtile._min_parallelepiped(pts, d)
+    filled = hull_volume >= (1.0 - tol) * fit_volume
+    consistent = vol_lo <= hull_volume * (1.0 + tol) and hull_volume <= vol_hi * (1.0 + tol)
+    ok = bool(filled and consistent)
+    return (ok, edges if ok else None, float(hull_volume), float(fit_volume),
+            float(vol_hi), float(vol_lo), tol)
+
+
+@pytest.mark.parametrize("matrix,digits,depth", [
+    ([[1, 1], [-1, 1]], [(0, 0), (1, 0)], 8),          # twindragon
+    ([[1, 1], [-1, 1]], [(0, 0), (3, 0)], 6),          # twindragon, digits times 3
+    ([[3]], [(0,), (1,), (5,)], 6),
+    ([[1, -3], [1, -1]], [(0, 0), (1, 0)], 8),         # [[0,-2],[1,0]] conjugated by [[1,1],[0,1]]
+    ([[2, 0], [0, 2]], [(0, 0), (1, 0)], 5),           # degenerate cloud
+])
+def test_refused_systems_keep_numeric_report(matrix, digits, depth):
+    approx = approximate(matrix, digits, depth)
+    assert box_certificate(matrix, digits) is None
+    try:
+        expected = _numeric_reference(approx)
+    except DegeneratePointCloudError:
+        with pytest.raises(DegeneratePointCloudError):
+            is_parallelepiped(approx)
+        return
+    report = is_parallelepiped(approx)
+    assert not report.certified
+    got = (report.is_box, report.edge_vectors, report.hull_volume, report.fit_volume,
+           report.measure_estimate, report.interior_estimate, report.tol)
+    assert repr(got) == repr(expected)
+
+
+def test_box_detect_certifies_scaled_form(capsys):
+    code = cli_main(["box", "detect", "--matrix", "[[0,1,0],[0,0,4],[1,0,0]]",
+                     "--digits", "[[0,0,0],[0,5,0],[0,10,0],[0,15,0]]"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["is_box"] is True and report["certified"] is True
+    assert report["hull_volume"] == 125.0

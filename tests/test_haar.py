@@ -1,5 +1,6 @@
 """Hyperplane bases, wavelet systems, exact and raster inner products."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tileforge import attractor, haar
 from tileforge.attractor import approximate
 from tileforge.boxtile import BoxForm, box_digits, build_cyclic_matrix
+from tileforge.cli import main
 from tileforge.haar import (
     build_wavelets,
     evaluate,
@@ -128,6 +130,17 @@ def test_inner_product_auto_routes():
     dragon_sys = build_wavelets(DRAGON_M, DRAGON_D)
     val = inner_product(dragon_sys, 1, 1, resolution=64, depth=12)
     assert abs(val - 1.0) < 0.1
+
+
+def test_auto_route_needs_a_box_tile(capsys):
+    # [[2]] with {0,3} generates the certified box [0,3], of measure 3: not a
+    # tile, so its Gram matrix is not the identity
+    system = build_wavelets([[2]], [(0,), (3,)])
+    assert not haar._is_box_system(system)
+    assert haar._is_box_system(build_wavelets([[2]], [(0,), (1,)]))
+    assert main(["haar", "gram", "--matrix", "[[2]]", "--digits", "[[0],[3]]",
+                 "--resolution", "32", "--depth", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] != "exact"
 
 
 def test_raster_gram_dragon():
