@@ -20,7 +20,6 @@ on column sums.  The radius is only displayed: m for a non-tile, else estimated.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -771,10 +770,11 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
 
     With M^-depth = P / q (lattice.inverse_power) and the origin written as
     a / b over one common denominator b, coordinate i of cell z is
-    ((P z)_i * b * R - a_i * q * R) // (q * b): plain integers of any size.
+    ((P z)_i * b * R - a_i * q * R) // (q * b), formed as one integer
+    product: int64 under INT64_SAFE, Python ints (dtype object) past it.
     `origin` entries may be ints, Fractions or floats (taken exactly).
-    Returns one list per coordinate, holding the indices of the cells in
-    cell order.
+    Returns a (d, n) integer array, one row per coordinate, holding the
+    indices of the cells in cell order.
     """
     if not approx.is_integer:
         raise ValueError("exact grid indices require integer data")
@@ -786,9 +786,11 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
     rows = [[x * b * resolution for x in row] for row in p]
     offsets = [x.numerator * (b // x.denominator) * q * resolution for x in origin]
     den = q * b
-    cells = approx.points.tolist()
-    return [[(sum(map(operator.mul, row, z)) - off) // den for z in cells]
-            for row, off in zip(rows, offsets)]
+    zmax = int(np.abs(approx.points).max(initial=1))
+    dtype = _int_dtype(max(sum(map(abs, row)) for row in rows) * zmax
+                       + max(map(abs, offsets)) + den)
+    num = approx.points.astype(dtype) @ np.array(rows, dtype=dtype).T
+    return (num - np.array(offsets, dtype=dtype)).T // den
 
 
 def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
@@ -813,11 +815,10 @@ def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
         extent.append(max(int(n), 1))
     occupancy = np.zeros(tuple(extent), dtype=np.int64)
     if approx.is_integer:
-        # Clamp as Python ints (object arrays): far from a caller's box the
-        # indices can exceed int64.
-        idx = tuple(np.clip(np.array(col, dtype=object), 0, e - 1).astype(np.int64)
-                    for col, e in zip(grid_indices(approx, resolution, lo), extent))
-        np.add.at(occupancy, idx, 1)
+        # Clamp before narrowing to int64: far from a caller's box the
+        # indices can exceed it.
+        idx = np.clip(grid_indices(approx, resolution, lo), 0, np.array(extent)[:, None] - 1)
+        np.add.at(occupancy, tuple(idx.astype(np.int64)), 1)
     else:
         a = np.linalg.matrix_power(np.linalg.inv(np.array(approx.matrix, float)),
                                    approx.depth)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,8 +243,7 @@ def cmd_tile_render(args) -> int:
     if len(matrix) != 2:
         raise InputError("render supports two-dimensional systems")
     approx = attractor.approximate(matrix, shifts, depth)
-    gx, gy = (np.array(col, dtype=np.int64)
-              for col in attractor.grid_indices(approx, resolution, (0, 0)))
+    gx, gy = attractor.grid_indices(approx, resolution, (0, 0)).astype(np.int64)
     if args.tiling:
         window = _parse_window(args.tiling)
         if len(window) != 2:
@@ -595,9 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_scaled_map import _vectors, expanding_matrices
 
@@ -365,7 +365,8 @@ def test_contact_window_over_budget(monkeypatch):
 
 
 def _reference_box(matrix, shifts):
-    """The box series summed level by level with Fraction accumulators."""
+    """The box series summed level by level with Fraction accumulators, and
+    the int64 guard's bound max_j ||P^j||_inf * max|s| over the levels summed."""
     d = len(matrix)
     step, q1 = inverse_power(matrix, 1)
     smax = max(abs(x) for s in shifts for x in s)
@@ -373,10 +374,11 @@ def _reference_box(matrix, shifts):
     hi = [Fraction(0)] * d
     power, q = step, q1
     norm_sum = Fraction(0)
-    j = 0
+    j = rmax = 0
     halved = False
     while True:
         j += 1
+        rmax = max(rmax, max(sum(abs(x) for x in row) for row in power))
         imgs = [mat_vec(power, s) for s in shifts]
         for i in range(d):
             vals = [v[i] for v in imgs]
@@ -388,7 +390,8 @@ def _reference_box(matrix, shifts):
             halved = True
             tail = norm * 2 * norm_sum * smax
             if tail <= Fraction(1, 64) or j >= 200:
-                return tuple(x - tail for x in lo), tuple(x + tail for x in hi)
+                box = tuple(x - tail for x in lo), tuple(x + tail for x in hi)
+                return box, rmax * max(smax, 1)
         if j >= 200 and not halved:
             raise ValueError("matrix does not appear to be expanding")
         power = mat_mul(power, step)
@@ -403,8 +406,16 @@ def _box_dtypes(monkeypatch, matrix, shifts):
     return attractor._bounding_box_exact.__wrapped__(matrix, shifts), dtypes
 
 
+#: Its bound max ||P^j||_inf * max|s| is 1.9e18 with the 12 residue digits
+#: (int64) and 9.5e18 with them times 5 (past INT64_SAFE, so object).
+STEEP_M = ((34, -96, 0), (12, -34, 0), (0, 0, 3))
+STEEP_D = residue_system(STEEP_M)
+
+
 @settings(max_examples=80, deadline=None)
 @given(digit_systems(), st.booleans(), st.booleans())
+@example((STEEP_M, STEEP_D), False, False)
+@example((STEEP_M, tuple(tuple(5 * x for x in r) for r in STEEP_D)), False, False)
 def test_bounding_box_matches_level_reference(system, differences, small_int64):
     m, digits = system
     if differences:
@@ -414,8 +425,10 @@ def test_bounding_box_matches_level_reference(system, differences, small_int64):
         if small_int64:
             mp.setattr(attractor, "INT64_SAFE", 1)
         box, dtypes = _box_dtypes(mp, m, shifts)
-    assert repr(box) == repr(_reference_box(m, shifts))
-    assert dtypes == [object if small_int64 else np.int64]
+    ref, bound = _reference_box(m, shifts)
+    assert repr(box) == repr(ref)
+    assert dtypes == [object if bound >= (1 if small_int64 else attractor.INT64_SAFE)
+                      else np.int64]
 
 
 @pytest.mark.parametrize("matrix, shifts", [
@@ -424,7 +437,7 @@ def test_bounding_box_matches_level_reference(system, differences, small_int64):
 ], ids=["shear-2^40", "shift-2^62"])
 def test_bounding_box_past_int64_matches_level_reference(monkeypatch, matrix, shifts):
     box, dtypes = _box_dtypes(monkeypatch, matrix, shifts)
-    assert repr(box) == repr(_reference_box(matrix, shifts))
+    assert repr(box) == repr(_reference_box(matrix, shifts)[0])
     assert dtypes == [object]
 
 

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, schemas, deterministic output."""
 
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tileforge import attractor
+from tileforge import attractor, cli
 from tileforge.cli import PALETTE, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -426,3 +428,53 @@ def test_tile_check_builds_contact_matrix_once(capsys, monkeypatch):
                   "--digits", "[[1,0],[0,0]]", "--depth", "6")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    cli._parser.cache_clear()
+    plain, tiled, again = (str(tmp_path / f"{n}.ppm") for n in ("plain", "tiled", "again"))
+    render = ("tile", "render", *DRAGON, "--depth", "8", "--resolution", "8")
+    assert run(capsys, "tile", "check", *DRAGON, "--depth", "6")[0] == 0
+    assert run(capsys, *render, "--out", plain)[0] == 0
+    assert run(capsys, *render, "--out", tiled, "--tiling=0:2,0:2")[0] == 0
+    assert run(capsys, *render, "--out", again)[0] == 0
+    assert run(capsys, "tile", "check", "--matrix", "[[1,1]", "--digits", "[[0,0]]")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["tile", "render", *DRAGON])   # usage error: --out is required
+    assert exc.value.code == 2
+    assert len(calls) == 1
+    # No state leaks from the --tiling call into the plain render after it.
+    assert Path(again).read_bytes() == Path(plain).read_bytes() != Path(tiled).read_bytes()
+
+
+def test_shared_parser_is_thread_safe():
+    argvs = [
+        ["tile", "check", *DRAGON, "--depth", "3"],
+        ["tile", "render", *DRAGON, "--out", "a.ppm", "--tiling=0:1,0:1"],
+        ["haar", "gram", *DRAGON, "--method", "raster", "--resolution", "16"],
+        ["oned", "oracle", "0,1,2", "--n-max", "9"],
+    ]
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+    parser = cli._parser()
+    start = threading.Barrier(len(argvs))
+    seen = [[] for _ in argvs]
+
+    def parse(i):
+        start.wait()
+        seen[i].extend(vars(parser.parse_args(argvs[i])) for _ in range(200))
+
+    threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(argvs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[want] * 200 for want in expected]

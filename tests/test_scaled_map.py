@@ -6,12 +6,14 @@ determinants of both signs occur.
 """
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tileforge import attractor
 from tileforge.attractor import AttractorApprox, grid_indices, rasterize
 from tileforge.lattice import (
     SingularMatrixError,
@@ -109,10 +111,42 @@ def _reference_indices(m, k, cells, resolution, origin):
             for z in cells]
 
 
-def _approx(m, k, cells):
+def _approx(m, k, cells, dtype=object):
     d = len(m)
     return AttractorApprox(matrix=m, shifts=(tuple([0] * d),), depth=k,
-                           points=np.array(cells, dtype=object), is_integer=True)
+                           points=np.array(cells, dtype=dtype), is_integer=True)
+
+
+#: (points dtype, patched INT64_SAFE): int64 and object points under the
+#: real guard, and int64 points with the guard patched so the product runs
+#: on Python ints.
+DTYPE_PATHS = ((np.int64, None), (object, None), (np.int64, 1))
+
+
+def _guard_bound(m, k, cells, resolution, origin):
+    """The bound grid_indices checks against INT64_SAFE: max ||row||_1 *
+    max|z| + max|offset| + q b for the rows P b R and offsets a q R."""
+    p, q = inverse_power(m, k)
+    origin = [Fraction(x) for x in origin]
+    b = lcm(*(x.denominator for x in origin))
+    zmax = max([1] + [abs(x) for z in cells for x in z])
+    norm = max(sum(abs(x) for x in row) for row in p) * b * resolution
+    offset = max(abs(x) * b * q * resolution for x in origin)
+    return norm * zmax + offset + q * b
+
+
+def _expected_dtype(bound, safe):
+    return object if bound >= (safe or attractor.INT64_SAFE) else np.int64
+
+
+def _spy_grid_indices(mp, dtypes):
+    real = attractor.grid_indices
+
+    def spy(*args):
+        out = real(*args)
+        dtypes.append(out.dtype)
+        return out
+    mp.setattr(attractor, "grid_indices", spy)
 
 
 @SETTINGS
@@ -131,8 +165,25 @@ def test_grid_indices_match_fraction_reference(m, k, data):
     cells = data.draw(st.lists(_vectors(d, 10 ** 6), min_size=1, max_size=12))
     resolution = data.draw(st.integers(1, 500))
     origin = data.draw(_coordinates(d))
-    columns = grid_indices(_approx(m, k, cells), resolution, origin)
-    assert list(zip(*columns)) == _reference_indices(m, k, cells, resolution, origin)
+    expected = _reference_indices(m, k, cells, resolution, origin)
+    bound = _guard_bound(m, k, cells, resolution, origin)
+    for dtype, safe in DTYPE_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            if safe:
+                mp.setattr(attractor, "INT64_SAFE", safe)
+            columns = grid_indices(_approx(m, k, cells, dtype), resolution, origin)
+            assert columns.dtype == _expected_dtype(bound, safe)
+        assert columns.shape == (d, len(cells))
+        assert list(zip(*columns)) == expected
+
+
+@pytest.mark.parametrize("cell", [2 ** 61 - 3, -(2 ** 61) + 5])
+def test_grid_indices_past_int64_match_fraction_reference(cell):
+    # 8 * 2^61 passes INT64_SAFE, though every index (about 2^62) fits int64.
+    cells, origin = [(cell,), (0,), (1,)], (Fraction(1, 3),)
+    columns = grid_indices(_approx(((2,),), 1, cells, np.int64), 8, origin)
+    assert columns.dtype == object
+    assert list(zip(*columns)) == _reference_indices(((2,),), 1, cells, 8, origin)
 
 
 @SETTINGS
@@ -145,13 +196,21 @@ def test_rasterize_matches_fraction_reference(m, k, data):
     widths = data.draw(st.tuples(*[st.fractions(min_value=0, max_value=4,
                                                  max_denominator=50)] * d))
     hi = tuple(Fraction(x) + w for x, w in zip(lo, widths))
-    r = rasterize(_approx(m, k, cells), resolution, box=(lo, hi))
     extent = tuple(max(1, -floor(-(w * resolution))) for w in widths)
     expected = np.zeros(extent, dtype=np.int64)
     for ix in _reference_indices(m, k, cells, resolution, lo):
         expected[tuple(min(max(x, 0), e - 1) for x, e in zip(ix, extent))] += 1
-    assert r.extent == extent
-    assert np.array_equal(r.occupancy, expected)
+    bound = _guard_bound(m, k, cells, resolution, lo)
+    for dtype, safe in DTYPE_PATHS:
+        dtypes = []
+        with pytest.MonkeyPatch.context() as mp:
+            if safe:
+                mp.setattr(attractor, "INT64_SAFE", safe)
+            _spy_grid_indices(mp, dtypes)
+            r = rasterize(_approx(m, k, cells, dtype), resolution, box=(lo, hi))
+        assert dtypes == [_expected_dtype(bound, safe)]
+        assert r.extent == extent
+        assert np.array_equal(r.occupancy, expected)
 
 
 @SETTINGS
