@@ -125,11 +125,11 @@ def _bounding_box_exact(matrix, shifts):
     step, q1 = inverse_power(matrix, 1)
     smax = max(abs(x) for s in shifts for x in s)
     powers = [step]
-    n, q, rmax = 0, q1, 0
+    n, q = 0, q1
     halved = False
     while True:
         r = max(sum(map(abs, row)) for row in powers[-1])
-        n, rmax = n * q1 + r, max(rmax, r)
+        n = n * q1 + r
         if 2 * r <= q:
             halved = True
             # the tail of the norm series is at most norm * (2 * norm_sum)
@@ -139,11 +139,11 @@ def _bounding_box_exact(matrix, shifts):
             raise ValueError("matrix does not appear to be expanding")
         powers.append(lattice.mat_mul(powers[-1], step))
         q *= q1
-    # |(P^j s)_i| <= r_j * smax bounds every image and its partial sums.
-    dtype = _int_dtype(rmax * max(smax, 1))
-    imgs = np.array(powers, dtype=dtype) @ np.array(shifts, dtype=dtype).T
+    # One product against the stacked (J d, d) powers: imgs[s, j] = P^(j+1) s.
+    imgs = _int_product(shifts, [row for p in powers for row in p]).reshape(
+        len(shifts), len(powers), -1)
     weights = np.array([q1 ** e for e in reversed(range(len(powers)))], dtype=object)
-    lo, hi = (weights @ a.astype(object) for a in (imgs.min(axis=2), imgs.max(axis=2)))
+    lo, hi = (weights @ a.astype(object) for a in (imgs.min(axis=0), imgs.max(axis=0)))
     tail = Fraction(2 * r * n * smax, q * q)
     return (tuple(Fraction(x, q) - tail for x in lo.tolist()),
             tuple(Fraction(x, q) + tail for x in hi.tolist()))
@@ -256,9 +256,35 @@ def _int_dtype(bound):
     return np.int64 if bound < INT64_SAFE else object
 
 
-def _grid(axes, dtype):
+def _abs_max(values):
+    """max |x| over an integer array or nested integers, 0 when empty."""
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def _int_array(values):
+    """Nested integers as an int64 array while every |x| < INT64_SAFE, else as Python ints."""
+    return np.array(values, dtype=_int_dtype(_abs_max(values)))
+
+
+def _int_product(rows, matrix, offsets=None):
+    """rows @ matrix.T, or (rows @ matrix.T)[:, None] + offsets, exactly.
+
+    `rows` and `offsets` are integer arrays or nested integers, `matrix`
+    nested integers.  The result is int64 while
+    max(max|rows|, 1) * max ||matrix row||_1 + max|offsets| < INT64_SAFE,
+    else Python ints (dtype object).  So every int64 entry is below
+    INT64_SAFE, and one sum or difference of two results stays exact.
+    """
+    bound = max(_abs_max(rows), 1) * max(sum(map(abs, row)) for row in matrix)
+    dtype = _int_dtype(bound + (0 if offsets is None else _abs_max(offsets)))
+    out = np.asarray(rows, dtype=dtype) @ np.array(matrix, dtype=dtype).T
+    return out if offsets is None else out[:, None] + np.asarray(offsets, dtype=dtype)
+
+
+def _grid(axes):
     """The product of the axes as (n, d) rows, in itertools.product order."""
-    mesh = np.meshgrid(*(np.array(a, dtype=dtype) for a in axes), indexing="ij")
+    mesh = np.meshgrid(*map(_int_array, axes), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
@@ -295,15 +321,12 @@ def _level(matrix, shifts, t, is_integer):
     """
     d = len(matrix)
     if t == 0:
+        # Memoized with the level, so each system's expansion is checked once.
+        if not _is_expanding_any(matrix):
+            raise ValueError("matrix must be expanding")
         pts = np.zeros((1, d), dtype=np.int64 if is_integer else float)
     elif is_integer:
-        prev = _level(matrix, shifts, t - 1, is_integer)
-        # |M z + s| <= ||M||_inf * max|z| + max|s| bounds every partial sum.
-        norm = max(sum(map(abs, row)) for row in matrix)
-        smax = max(abs(x) for s in shifts for x in s)
-        dtype = _int_dtype(norm * max(int(np.abs(prev).max()), 1) + smax)
-        mat, sh = (np.array(x, dtype=dtype) for x in (matrix, shifts))
-        rows = (prev.astype(dtype, copy=False) @ mat.T)[:, None] + sh
+        rows = _int_product(_level(matrix, shifts, t - 1, is_integer), matrix, shifts)
         pts = _unique_rows(rows.reshape(-1, d))[0]
     else:
         prev = _level(matrix, shifts, t - 1, is_integer)
@@ -337,8 +360,6 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
         raise ValueError("depth must be >= 1")
     m, m_int = _freeze_matrix(matrix)
     sh, s_int = _freeze_shifts(shifts, len(m))
-    if not _is_expanding_any(m):
-        raise ValueError("matrix must be expanding")
     integral = m_int and s_int
     budget = max_cells if max_cells is not None else max_cells_budget()
     cells = _cells_at(m, sh, depth, integral, budget)
@@ -568,16 +589,12 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     w = [int((h - l) // 1) for l, h in zip(lo, hi)]
     neg, span = [-b for b in w], [2 * b + 1 for b in w]
     n = math.prod(span)
-    # |M k + delta| <= ||M||_inf * max(w) + max|delta| bounds every successor.
-    norm = max(sum(map(abs, row)) for row in m)
-    dmax = max(max(c) - min(c) for c in zip(*pts))
-    dtype = _int_dtype(norm * max(w) + dmax)
-    dig = np.array(pts, dtype=dtype)
+    dig = _int_array(pts)
     deltas, mult = _unique_rows((dig[None] - dig[:, None]).reshape(-1, d))
     _check_budget("the contact window", n * len(deltas))
     # Window states in row-major key order, which is lexicographic order.
-    window = _unravel(np.arange(n), neg, span).astype(dtype)
-    rows = (window @ np.array(m, dtype=dtype).T)[:, None] + deltas
+    window = _unravel(np.arange(n), neg, span)
+    rows = _int_product(window, m, deltas)
     # Successor keys; n is the dead sentinel for successors off the window.
     inside = ((rows >= np.array(neg)) & (rows <= np.array(w))).all(axis=2)
     succ = np.full(inside.shape, n, dtype=np.int64)
@@ -713,18 +730,13 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     lo_b, hi_b = _bounding_box_exact(approx.matrix, approx.shifts)
     t_ranges = [range(int((window[i][0] - hi_b[i]) // 1),
                       -int(-(window[i][1] - lo_b[i]) // 1) + 1) for i in range(d)]
-    # |P c| + q |window| bounds the sample test, |c| + |M^depth t| the differences.
-    cmax, tmax, wmax = (max(abs(x) for r in rs for x in (r[0], r[-1]))
-                        for rs in (ranges, t_ranges, window))
-    pnorm, knorm = (max(sum(map(abs, row)) for row in a) for a in (p, mk))
-    dtype = _int_dtype(max(pnorm * (cmax + 1) + q * wmax, 2 * (cmax + knorm * tmax)))
-    cand = _grid(ranges, dtype)
-    base = cand @ np.array(p, dtype=dtype).T
-    q_lo, q_hi = q * np.array(window, dtype=dtype).T
-    samples = cand[((q_lo <= base + row_neg) & (base + row_pos <= q_hi)).all(axis=1)]
+    cand = _grid(ranges)
+    low, high = _int_product(cand, p, [row_neg, row_pos]).transpose(1, 0, 2)
+    q_lo, q_hi = _int_array([[q * a for a, _ in window], [q * b for _, b in window]])
+    samples = cand[((q_lo <= low) & (high <= q_hi)).all(axis=1)]
     if not len(samples):
         raise ValueError("window too small: no unit cell fits inside it at this depth")
-    shifted = _grid(t_ranges, dtype) @ np.array(mk, dtype=dtype).T
+    shifted = _int_product(_grid(t_ranges), mk)
     # A certified tile admits an exact one-layer stand-in: its cells are a
     # complete residue system mod M^depth.  Otherwise count against the
     # geometric unit-cell cover, where boundary cells may deviate.
@@ -785,12 +797,8 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
     b = math.lcm(*(x.denominator for x in origin))
     rows = [[x * b * resolution for x in row] for row in p]
     offsets = [x.numerator * (b // x.denominator) * q * resolution for x in origin]
-    den = q * b
-    zmax = int(np.abs(approx.points).max(initial=1))
-    dtype = _int_dtype(max(sum(map(abs, row)) for row in rows) * zmax
-                       + max(map(abs, offsets)) + den)
-    num = approx.points.astype(dtype) @ np.array(rows, dtype=dtype).T
-    return (num - np.array(offsets, dtype=dtype)).T // den
+    num = _int_product(approx.points, rows, [[-x for x in offsets]])[:, 0]
+    return num.T // _int_array(q * b)
 
 
 def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:

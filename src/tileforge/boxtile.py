@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lattice
-from .attractor import (AttractorApprox, _freeze_shifts, _int_dtype, _unique_rows,
+from .attractor import (AttractorApprox, _freeze_shifts, _int_array, _unique_rows,
                         unit_cell_cover)
 from .lattice import as_int_matrix
 
@@ -69,17 +69,14 @@ def build_cyclic_matrix(form: BoxForm):
     """The cyclic matrix with superdiagonal p_1..p_{n-1} and corner sign*p_n."""
     p = form.p
     n = len(p)
-    if n == 1:
-        m = ((form.sign * p[0],),)
-    else:
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            rows[i][i + 1] = p[i]
-        rows[n - 1][0] = form.sign * p[n - 1]
-        m = as_int_matrix(rows)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = p[i]
+    rows[n - 1][0] = form.sign * p[n - 1]
+    m = as_int_matrix(rows)
     if not lattice.is_expanding(m):
         raise ValueError(f"cyclic matrix for {form} is not expanding")
-    return as_int_matrix(m)
+    return m
 
 
 def box_digits(form: BoxForm):
@@ -260,9 +257,8 @@ def _box_certificate(m, digits):
     lo = _solve_cycles(ms, mult, [low[perm[j]] + (abs(c) * widths[j] if c < 0 else 0)
                                   for j, c in enumerate(mult)])
     # Integer digit gaps reach a width w exactly when they reach ceil(w).
-    gaps = [-(-w.numerator // w.denominator) for w in widths]
-    dtype = _int_dtype(max(2 * max(abs(x) for a in digits for x in a), *gaps))
-    pts, gaps = np.array(digits, dtype=dtype), np.array(gaps, dtype=dtype)
+    gaps = _int_array([-(-w.numerator // w.denominator) for w in widths])
+    pts = _int_array(digits)
     for k in range(len(pts) - 1):
         if not (np.abs(pts[k + 1:] - pts[k]) >= gaps).any(axis=1).all():
             return None
@@ -376,9 +372,13 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
         smallest enclosing parallelepiped spanned by hull facet directions;
       * the hull volume is consistent with the measure bracket from the
         self-similar cover (interior count below, touched count above).
+
+    `tol` must be finite with 0 <= tol < 1, else ValueError.
     """
     if not approx.is_integer:
         raise ValueError("parallelepiped detection requires integer data")
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must satisfy 0 <= tol < 1, got {tol}")
     d = approx.dim
     box = box_certificate(approx.matrix, approx.shifts)
     if box is not None:

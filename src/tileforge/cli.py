@@ -108,13 +108,17 @@ def _integral(x):
     return int(x)
 
 
-def _matrix_digits_from(args, need_digits=True):
-    """Matrix and digit/shift set from --spec plus inline flags (flags win)."""
-    spec = {}
+def _matrix_digits_from(args, spec=None):
+    """Matrix and digit/shift set from --spec plus inline flags (flags win).
+
+    `spec` is the --spec file's content when the caller has read it already.
+    """
     if getattr(args, "spec", None):
-        spec = _validate_spec(_load_spec(args.spec))
+        spec = _validate_spec(_load_spec(args.spec) if spec is None else spec)
         if spec.get("kind") != "attractor":
             raise InputError("this command needs an attractor problem spec")
+    else:
+        spec = {}
     matrix = spec.get("matrix")
     digits = spec.get("digits") or spec.get("shifts")
     if getattr(args, "matrix", None):
@@ -125,7 +129,7 @@ def _matrix_digits_from(args, need_digits=True):
         digits = _parse_json_field(args.shifts, "--shifts")
     if matrix is None:
         raise InputError("a matrix is required (--matrix or --spec)")
-    if need_digits and digits is None:
+    if digits is None:
         raise InputError("a digit/shift set is required (--digits or --spec)")
     try:
         matrix = [[_integral(x) for x in row] for row in matrix]
@@ -135,8 +139,7 @@ def _matrix_digits_from(args, need_digits=True):
             raise OverflowError("digit entries exceed the 64-bit input bound")
     except (TypeError, ValueError) as exc:
         raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
-    params = spec.get("params", {}) if spec else {}
-    return matrix, digits, params
+    return matrix, digits, spec.get("params", {})
 
 
 def _positive(args, params, name, default=None):
@@ -148,12 +151,13 @@ def _positive(args, params, name, default=None):
     return value
 
 
-def _boxform_from(args):
-    spec = {}
+def _boxform_from(args, spec=None):
     if getattr(args, "spec", None):
-        spec = _validate_spec(_load_spec(args.spec))
+        spec = _validate_spec(_load_spec(args.spec) if spec is None else spec)
         if spec.get("kind") != "boxform":
             raise InputError("this command needs a boxform problem spec")
+    else:
+        spec = {}
     p = spec.get("p")
     sign = spec.get("sign", 1)
     if getattr(args, "p", None):
@@ -168,10 +172,7 @@ def _boxform_from(args):
             raise InputError("--sign must be + or -")
     if p is None:
         raise InputError("box commands need -p (or a boxform spec)")
-    try:
-        return boxtile.BoxForm(tuple(p), int(sign))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return boxtile.BoxForm(tuple(p), int(sign))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,12 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.astype(np.uint8).tobytes())
 
 
+def _blank_image(width, height):
+    """A white (height, width, 3) image; its pixels count against the cell budget."""
+    attractor._check_budget("the image", width * height)
+    return np.full((height, width, 3), 255, dtype=np.uint8)
+
+
 def cmd_tile_render(args) -> int:
     matrix, shifts, params = _matrix_digits_from(args)
     depth = _positive(args, params, "depth", 12)
@@ -252,7 +259,7 @@ def cmd_tile_render(args) -> int:
         if x1 <= x0 or y1 <= y0:
             raise InputError("--tiling window is empty")
         width, height = (x1 - x0) * resolution, (y1 - y0) * resolution
-        img = np.full((height, width, 3), 255, dtype=np.uint8)
+        img = _blank_image(width, height)
         # Any translate whose bounding box meets the window can contribute.
         lo_b, hi_b = attractor.bounding_box(matrix, shifts)
         xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
@@ -266,7 +273,7 @@ def cmd_tile_render(args) -> int:
     else:
         ox, oy = gx.min(), gy.min()
         width, height = int(gx.max() - ox) + 1, int(gy.max() - oy) + 1
-        img = np.full((height, width, 3), 255, dtype=np.uint8)
+        img = _blank_image(width, height)
         img[height - 1 - (gy - oy), gx - ox] = PALETTE[0]
     write_ppm(args.out, img)
     occupied = int(np.count_nonzero(np.any(img != 255, axis=2)))
@@ -316,13 +323,13 @@ def cmd_box_digits(args) -> int:
 
 
 def cmd_box_detect(args) -> int:
-    if getattr(args, "p", None) or (
-            getattr(args, "spec", None) and _load_spec(args.spec).get("kind") == "boxform"):
-        form = _boxform_from(args)
+    spec = _load_spec(args.spec) if getattr(args, "spec", None) else None
+    if getattr(args, "p", None) or (spec or {}).get("kind") == "boxform":
+        form = _boxform_from(args, spec)
         matrix = boxtile.build_cyclic_matrix(form)
         digits = boxtile.box_digits(form)
     else:
-        matrix, digits, _ = _matrix_digits_from(args)
+        matrix, digits, _ = _matrix_digits_from(args, spec)
     depth = _positive(args, {}, "depth") or boxtile.suggested_depth(matrix, digits)
     tol = args.tol if args.tol is not None else 0.05
     approx = attractor.approximate(matrix, digits, depth)
@@ -352,10 +359,7 @@ def cmd_box_detect(args) -> int:
 
 def cmd_haar_build(args) -> int:
     matrix, digits, _ = _matrix_digits_from(args)
-    try:
-        system = haar.build_wavelets(matrix, digits)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    system = haar.build_wavelets(matrix, digits)
     _emit({
         "kind": "haar_system",
         "matrix": matrix,
@@ -369,10 +373,7 @@ def cmd_haar_build(args) -> int:
 
 def cmd_haar_gram(args) -> int:
     matrix, digits, params = _matrix_digits_from(args)
-    try:
-        system = haar.build_wavelets(matrix, digits)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    system = haar.build_wavelets(matrix, digits)
     method = args.method
     if method == "auto":
         method = "exact" if haar._is_box_system(system) else "raster"
@@ -404,24 +405,17 @@ def cmd_haar_gram(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oned_oracle(args) -> int:
-    y = _parse_int_list(args.set, "set")
+    y = oned.as_intset(_parse_int_list(args.set, "set"))
     try:
-        y = oned.as_intset(y)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    n_max = args.n_max
-    try:
-        n, shifts = oned.tiling_oracle(y, n_max)
-    except ValueError as exc:
-        if isinstance(exc, oned.NotTilingError):
-            _emit({
-                "kind": "oned_oracle",
-                "set": list(y),
-                "tiles": False,
-                "bound": exc.n_max,
-            })
-            return EXIT_NEGATIVE
-        raise InputError(str(exc)) from exc
+        n, shifts = oned.tiling_oracle(y, args.n_max)
+    except oned.NotTilingError as exc:
+        _emit({
+            "kind": "oned_oracle",
+            "set": list(y),
+            "tiles": False,
+            "bound": exc.n_max,
+        })
+        return EXIT_NEGATIVE
     _emit({
         "kind": "oned_oracle",
         "set": list(y),
@@ -433,11 +427,7 @@ def cmd_oned_oracle(args) -> int:
 
 
 def cmd_oned_classify(args) -> int:
-    y = _parse_int_list(args.set, "set")
-    try:
-        y = oned.as_intset(y)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    y = oned.as_intset(_parse_int_list(args.set, "set"))
     try:
         progressions = oned.classify(y)
     except oned.NotSimpleError as exc:
@@ -472,8 +462,6 @@ def cmd_oned_enumerate(args) -> int:
 
 def cmd_oned_lset(args) -> int:
     xs = _parse_int_list(args.set, "set")
-    if args.l <= 0:
-        raise InputError("block length must be positive")
     ok = oned.is_l_set(xs, args.l)
     _emit({
         "kind": "oned_lset",

@@ -28,10 +28,11 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .attractor import (approximate, bounding_box, unit_cell_cover, _cover_keys, _grid,
-                        _has_cells, _int_dtype, _tile_report_cached, _unravel)
+from .attractor import (approximate, bounding_box, unit_cell_cover, _check_budget,
+                        _cover_keys, _grid, _has_cells, _int_array, _int_product,
+                        _tile_report_cached, _unravel)
 from .boxtile import box_certificate
-from .lattice import as_int_matrix, mat_pow, mat_vec
+from .lattice import as_int_matrix, mat_pow
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,10 @@ def _pieces(matrix, digits, depth: int, num, den: int):
     """
     coarse, fine = _piece_tables(matrix, digits, depth)
     mk = mat_pow(matrix, depth)
-    mk1 = lattice.mat_mul(mk, matrix)
-    # |M^(K+1) num| + |M^K d| bounds every cell and every cell - M^K d.
-    norm1, normk = (max(sum(map(abs, row)) for row in a) for a in (mk1, mk))
-    dmax = max(abs(x) for v in digits for x in v)
-    dtype = _int_dtype(norm1 * int(np.abs(num).max(initial=0)) + normk * dmax)
-    cells = num.astype(dtype) @ np.array(mk1, dtype=dtype).T // den
+    cells = _int_product(num, lattice.mat_mul(mk, matrix)) // _int_array(den)
     pieces = np.full(len(cells), -1, dtype=np.int32)
     open_ = np.flatnonzero(_has_cells(fine, cells))
-    for k, lead in enumerate(np.array(digits, dtype=dtype) @ np.array(mk, dtype=dtype).T):
+    for k, lead in enumerate(_int_product(digits, mk)):
         hit = _has_cells(coarse, cells[open_] - lead)
         pieces[open_[hit]] = k
         open_ = open_[~hit]
@@ -239,10 +235,10 @@ def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     lo, hi = bounding_box(system.matrix, system.digits)
     d = len(system.matrix)
     counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
+    _check_budget("the raster grid", math.prod(counts))
     den = 2 * resolution
     axes = [[int(lo_i * den + 2 * j + 1) for j in range(c)] for lo_i, c in zip(lo, counts)]
-    num = _grid(axes, _int_dtype(max(abs(x) for a in axes for x in (a[0], a[-1]))))
-    return (_pieces(system.matrix, system.digits, depth, num, den).reshape(counts),
+    return (_pieces(system.matrix, system.digits, depth, _grid(axes), den).reshape(counts),
             float(resolution) ** (-d))
 
 
@@ -320,12 +316,9 @@ def shift_orthonormality(matrix, digits, window: int = 1, depth: int = 12) -> fl
     table = _cover_keys(approximate(m, digits_t, depth).points, cover)
     modulus = abs(lattice.det(m)) ** depth
     mk = mat_pow(m, depth)
-    # |cell| + |M^depth k| bounds every shifted cell.
-    knorm = max(sum(map(abs, row)) for row in mk)
-    dtype = _int_dtype(max(map(abs, table[1])) + sum(table[2]) + window * knorm)
-    cells = _unravel(*table).astype(dtype)
+    cells = _unravel(*table)
     worst = 0.0
     for k in product(*[range(-window, window + 1) for _ in range(d)]):
-        count = int(_has_cells(table, cells + np.array(mat_vec(mk, k), dtype=dtype)).sum())
+        count = int(_has_cells(table, _int_product([k], mk, cells)[0]).sum())
         worst = max(worst, abs(count / modulus - (0.0 if any(k) else 1.0)))
     return worst

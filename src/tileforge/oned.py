@@ -59,10 +59,10 @@ def as_intset(elements):
     xs = sorted({int(x) for x in elements})
     if not xs:
         raise ValueError("set must be nonempty")
+    if xs[0] < 0:
+        raise ValueError("set elements must be nonnegative")
     if xs[0] != 0:
         raise ValueError("set must contain 0 as its first element")
-    if any(x < 0 for x in xs):
-        raise ValueError("set elements must be nonnegative")
     return tuple(xs)
 
 

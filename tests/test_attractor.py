@@ -59,6 +59,22 @@ def test_approximate_rejects_non_expanding():
         approximate([[1, 0], [0, 2]], [(0, 0), (1, 0)], 3)
 
 
+def test_approximate_checks_expansion_once_per_system(monkeypatch):
+    calls = []
+    real = attractor._is_expanding_any
+    monkeypatch.setattr(attractor, "_is_expanding_any",
+                        lambda matrix: calls.append(matrix) or real(matrix))
+    # A system no other test builds, so its levels start uncached.
+    m, digits = ((0, 7), (-1, 1)), ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0))
+    for depth in (3, 3, 1, 4, 2):
+        approximate(m, digits, depth)
+    assert calls == [m]
+    # A non-expanding matrix is refused on every call, before any budget check.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix must be expanding"):
+            approximate([[1, 0], [0, 2]], [(0, 0), (1, 0)], 3, max_cells=1)
+
+
 def test_approximate_resource_cap():
     with pytest.raises(ResourceLimitError):
         approximate([[2]], [(0,), (1,)], 40, max_cells=1000)
@@ -429,6 +445,54 @@ def test_bounding_box_matches_level_reference(system, differences, small_int64):
     assert repr(box) == repr(ref)
     assert dtypes == [object if bound >= (1 if small_int64 else attractor.INT64_SAFE)
                       else np.int64]
+
+
+#: Small entries, or entries anywhere in [-2^64, 2^64].
+_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 64), 2 ** 64))
+
+
+def _nested(shape):
+    """Nested lists of _ENTRIES with the given shape."""
+    if not shape:
+        return _ENTRIES
+    return st.lists(_nested(shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+def _check_int_result(out, want, bound, guard):
+    """Values, dtype and the int64 magnitude invariant of a helper's result."""
+    assert out.tolist() == want
+    assert out.dtype == (object if bound >= guard else np.int64)
+    if out.dtype == np.int64:
+        assert all(abs(x) < attractor.INT64_SAFE for x in out.ravel().tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), patched=st.booleans())
+def test_int_helpers_match_python_int_reference(data, patched):
+    n, d, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rows, matrix = data.draw(_nested((n, d))), data.draw(_nested((k, d)))
+    offsets = data.draw(st.none() | _nested((data.draw(st.integers(1, 3)), k)))
+    # Rows also come as arrays: object, and int64 when every entry fits.
+    forms = [rows, np.array(rows, dtype=object)]
+    if all(abs(x) < 2 ** 63 for r in rows for x in r):
+        forms.append(np.array(rows, dtype=np.int64))
+    prod = [[sum(a * b for a, b in zip(r, c)) for c in matrix] for r in rows]
+    bound = max(1, *(abs(x) for r in rows for x in r)) * max(sum(map(abs, c)) for c in matrix)
+    if offsets is None:
+        want = prod
+    else:
+        want = [[[p + o for p, o in zip(row, off)] for off in offsets] for row in prod]
+        bound += max(abs(x) for r in offsets for x in r)
+    with pytest.MonkeyPatch.context() as mp:
+        if patched:
+            mp.setattr(attractor, "INT64_SAFE", 1)
+        guard = attractor.INT64_SAFE
+        for form in forms:
+            _check_int_result(attractor._int_product(form, matrix, offsets), want, bound, guard)
+        for values in (rows, rows[0], rows[0][0]):
+            flat = np.ravel(np.array(values, dtype=object)).tolist()
+            _check_int_result(attractor._int_array(values), values,
+                              max(map(abs, flat)), guard)
 
 
 @pytest.mark.parametrize("matrix, shifts", [

@@ -478,3 +478,87 @@ def test_shared_parser_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert seen == [[want] * 200 for want in expected]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("box", "build", "-p", "1,1"), "not all p_i may equal 1 (the matrix would not expand)"),
+    (("box", "detect", "-p", "1,1"), "not all p_i may equal 1 (the matrix would not expand)"),
+    (("haar", "build", "--matrix", "[[2]]", "--digits", "[[0],[2]]"),
+     "digits must form a residue system for the matrix"),
+    (("haar", "gram", "--matrix", "[[2]]", "--digits", "[[0],[2]]"),
+     "digits must form a residue system for the matrix"),
+    (("oned", "oracle", "1,2"), "set must contain 0 as its first element"),
+    (("oned", "oracle", "0,3", "--n-max", "2"), "n_max must be at least max(Y) + 1"),
+    (("oned", "classify", "1,2"), "set must contain 0 as its first element"),
+    (("oned", "lset", "0,1", "--l", "0"), "block length must be positive"),
+], ids=["boxform", "detect-boxform", "haar-build", "haar-gram", "oracle-set", "oracle-bound",
+        "classify-set", "lset-length"])
+def test_library_value_errors_exit_input(argv, message, capsys):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "boxform", "p": [1, 1]}, "not all p_i may equal 1 (the matrix would not expand)"),
+    ({"kind": "oned", "set": [0, 1]}, "this command needs an attractor problem spec"),
+    ({"kind": "boxform"}, "spec kind 'boxform' requires fields ['p']"),
+], ids=["boxform", "oned", "missing-p"])
+def test_box_detect_spec_errors_exit_input(spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["box", "detect", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_box_detect_reads_its_spec_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli._load_spec
+    monkeypatch.setattr(cli, "_load_spec", lambda path: calls.append(path) or real(path))
+    for kind, extra in (("boxform", {"p": [1, 1, 2]}),
+                        ("attractor", {"matrix": [[2]], "digits": [[0], [1]]})):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, **extra}))
+        code, report = run_json(capsys, "box", "detect", "--spec", str(path))
+        assert code == 0 and report["is_box"] is True and calls == [str(path)]
+        calls.clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tile", "render", *DRAGON, "--depth", "2", "--resolution", "1000000", "--out", "never.ppm"),
+    ("tile", "render", *DRAGON, "--depth", "2", "--resolution", "1000",
+     "--tiling=0:100,0:100", "--out", "never.ppm"),
+    ("haar", "gram", *DRAGON, "--method", "raster", "--resolution", "1000000", "--depth", "4"),
+], ids=["render", "render-tiling", "raster-gram"])
+def test_oversized_image_or_raster_exits_resource(argv, tmp_path, monkeypatch, capsys):
+    # 1.36 TiB and 16.6 TiB at the default budget; the tiling window is 10^10 pixels.
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "resource cap" in captured.err and "TILEFORGE_MAX_CELLS" in captured.err
+    assert not (tmp_path / "never.ppm").exists()
+
+
+def test_image_budget_counts_pixels(tmp_path, capsys, monkeypatch):
+    # The twindragon at depth 8 and resolution 16 renders to 21 x 26 = 546 pixels.
+    out = str(tmp_path / "dragon.ppm")
+    argv = ["tile", "render", *DRAGON, "--depth", "8", "--resolution", "16", "--out", out]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    pixels = report["width"] * report["height"]
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", str(pixels))
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", str(pixels - 1))
+    assert main(argv) == 3
+    assert f"the image needs up to {pixels} cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["5", "1", "-1", "nan", "inf"])
+def test_box_detect_tol_out_of_range_is_input_error(tol, capsys):
+    # --tol 5 used to make the numeric path call the twindragon a box.
+    code = main(["box", "detect", *DRAGON, "--depth", "8", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: tol must satisfy 0 <= tol < 1")

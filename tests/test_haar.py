@@ -275,3 +275,10 @@ def test_shift_orthonormality_three_interval():
     # overlap of [0,3] with [1,4] has measure 2; max deviation approaches 2
     dev = shift_orthonormality([[2]], [(0,), (3,)], depth=12)
     assert abs(dev - 2.0) < 0.01
+
+
+def test_evaluate_at_denominator_past_int64():
+    # The points are num / 2^70: small int64 products over a divisor past int64.
+    system = build_wavelets([[2]], [(0,), (1,)])
+    assert evaluate(system, 1, (Fraction(1, 2 ** 70),), depth=4) == 1.0
+    assert evaluate(system, 1, (1 - Fraction(1, 2 ** 70),), depth=4) == -1.0

@@ -310,3 +310,10 @@ def test_segments_overlap_rejected():
 def test_segments_roundtrip():
     for y in [(0,), (0, 1), LINE_SET, (0, 2, 4)]:
         assert segments_to_intset(intset_to_segments(y)) == y
+
+
+def test_as_intset_reports_negative_elements():
+    with pytest.raises(ValueError, match="set elements must be nonnegative"):
+        oned.as_intset([-1, 0, 2])
+    with pytest.raises(ValueError, match="set must contain 0 as its first element"):
+        oned.as_intset([1, 2])
