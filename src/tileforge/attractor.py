@@ -208,6 +208,9 @@ class CellView(Sequence):
             return len(self) == len(other) and tuple(self) == tuple(other)
         return NotImplemented
 
+    def __hash__(self):
+        return hash(tuple(self))
+
     def __repr__(self):
         return f"CellView({len(self)} cells)"
 
@@ -276,10 +279,19 @@ def _int_product(rows, matrix, offsets=None):
     else Python ints (dtype object).  So every int64 entry is below
     INT64_SAFE, and one sum or difference of two results stays exact.
     """
-    bound = max(_abs_max(rows), 1) * max(sum(map(abs, row)) for row in matrix)
-    dtype = _int_dtype(bound + (0 if offsets is None else _abs_max(offsets)))
-    out = np.asarray(rows, dtype=dtype) @ np.array(matrix, dtype=dtype).T
+    top = max(_abs_max(rows), 1)
+    dtype = _int_dtype(top * max(sum(map(abs, row)) for row in matrix)
+                       + (0 if offsets is None else _abs_max(offsets)))
+    # Under a zero matrix, rows past int64 still give an int64 product.
+    rows = np.asarray(rows, dtype=object if top >= INT64_SAFE else dtype)
+    out = (rows @ np.array(matrix, dtype=dtype).T).astype(dtype, copy=False)
     return out if offsets is None else out[:, None] + np.asarray(offsets, dtype=dtype)
+
+
+def _box_rows(p, lo, hi):
+    """Least and greatest (p x)_i over the box lo <= x <= hi, as two lists over the rows of p."""
+    return ([sum(min(a * b, a * c) for a, b, c in zip(row, lo, hi)) for row in p],
+            [sum(max(a * b, a * c) for a, b, c in zip(row, lo, hi)) for row in p])
 
 
 def _grid(axes):
@@ -379,52 +391,38 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     M^{-level}(c + B) over the level cells c, and a unit cell survives only
     if its interior meets one of those regions.  Exact rational interval
     arithmetic throughout, so no cell of positive overlap is ever dropped.
+    Returns the cells in lexicographic order as a read-only CellView.
     """
     m, m_int = _freeze_matrix(matrix)
     sh, s_int = _freeze_shifts(shifts, len(m))
     if not (m_int and s_int):
         raise ValueError("unit-cell covers require integer data")
-    return _unit_cell_cover(m, sh, level)
+    return CellView(_unit_cell_cover(m, sh, level))
 
 
 @lru_cache(maxsize=64)
 def _unit_cell_cover(m, sh, level):
-    d = len(m)
     lo, hi = _bounding_box_exact(m, sh)
     if level is None:
         level = 1
         while len(sh) ** (level + 1) <= 512:
             level += 1
     cells = _cells_at(m, sh, level, True, max_cells_budget())
-    # Scaled integers: M^{-level} = sn / q.
+    # Scaled integers: M^{-level} = sn / q and B = [lo, hi] has denominator r,
+    # so one product gives each region M^{-level}(c + B) as [low, high] / (q r).
     sn, q = inverse_power(m, level)
-    r = 1
-    for x in (*lo, *hi):
-        r = r * x.denominator // math.gcd(r, x.denominator)
-    blo = [int(x * r) for x in lo]
-    bhi = [int(x * r) for x in hi]
-    big_q = q * r
-    # Row-wise contribution of the box B, as numerators over q * r.
-    row_lo = [sum(sn[i][j] * (blo[j] if sn[i][j] >= 0 else bhi[j]) for j in range(d))
-              for i in range(d)]
-    row_hi = [sum(sn[i][j] * (bhi[j] if sn[i][j] >= 0 else blo[j]) for j in range(d))
-              for i in range(d)]
-    marked = set()
-    for c in cells.tolist():
-        ranges = []
-        for i in range(d):
-            base = sum(sn[i][j] * c[j] for j in range(d)) * r
-            lo_num = base + row_lo[i]
-            hi_num = base + row_hi[i]
-            first = lo_num // big_q            # least g with g + 1 > lo
-            last = (hi_num - 1) // big_q       # greatest g with g < hi
-            if last < first:
-                ranges = None
-                break
-            ranges.append(range(first, last + 1))
-        if ranges is not None:
-            marked.update(product(*ranges))
-    return tuple(sorted(marked))
+    r = math.lcm(*(x.denominator for x in (*lo, *hi)))
+    box = _box_rows(sn, [int(x * r) for x in lo], [int(x * r) for x in hi])
+    low, high = _int_product(cells, [[x * r for x in row] for row in sn], box).transpose(1, 0, 2)
+    big_q = _int_array(q * r)
+    first = low // big_q                        # least g with g + 1 > lo
+    width = (high - 1) // big_q - first + 1     # up to the greatest g with g < hi
+    offsets = _grid([range(max(int(w), 0)) for w in width.max(axis=0)])
+    keep = (offsets[None] < width[:, None]).all(axis=2)
+    rows = (first[:, None] + offsets[None])[keep]
+    cover = _unique_rows(rows)[0] if len(rows) else rows
+    cover.flags.writeable = False
+    return cover
 
 
 def _check_budget(what, need):
@@ -438,19 +436,21 @@ def _check_budget(what, need):
 def _cover_keys(points, cover):
     """Sorted distinct _ravel keys of {z + g : z in points, g in cover}.
 
-    Returns (keys, lo, span) for the key box lo + [0, span): int64 keys while
-    it holds fewer than INT64_SAFE cells, Python ints past that.  Raises
+    `cover` is an integer array of rows or nested integers.  Returns
+    (keys, lo, span) for the key box lo + [0, span): int64 keys while it
+    holds fewer than INT64_SAFE cells, Python ints past that.  Raises
     ResourceLimitError when the product would exceed the cell budget.
     """
     _check_budget("the cover product", len(points) * len(cover))
     d = points.shape[1]
+    g = _int_array(cover).reshape(-1, d)
+    glo, ghi = ([int(x) for x in f(g, axis=0)] if len(g) else [0] * d for f in (np.min, np.max))
     zlo = [int(x) for x in points.min(axis=0)]
-    glo = [min((g[i] for g in cover), default=0) for i in range(d)]
-    span = [int(zh) - zl + max((g[i] for g in cover), default=0) - gl + 1
-            for i, (zl, zh, gl) in enumerate(zip(zlo, points.max(axis=0), glo))]
+    span = [int(zh) - zl + gh - gl + 1
+            for zl, zh, gl, gh in zip(zlo, points.max(axis=0), glo, ghi)]
     dtype = _int_dtype(math.prod(span)) if points.dtype != object else object
     kz = _ravel(points.astype(dtype, copy=False), zlo, span)
-    kg = _ravel(np.array(cover, dtype=object).reshape(-1, d), glo, span).astype(dtype)
+    kg = _ravel(g.astype(object), glo, span).astype(dtype)
     keys = np.unique((kz[:, None] + kg[None, :]).ravel())
     return keys, [a + b for a, b in zip(zlo, glo)], span
 
@@ -474,7 +474,7 @@ def _has_cells(table, rows):
 def touched_cells(matrix, shifts, depth: int, level: Optional[int] = None):
     """Unit cells at scale M^{-depth} covering the attractor: cells + cover."""
     approx = approximate(matrix, shifts, depth)
-    cover = unit_cell_cover(approx.matrix, approx.shifts, level)
+    cover = _unit_cell_cover(approx.matrix, approx.shifts, level)
     return set(map(tuple, _unravel(*_cover_keys(approx.points, cover)).tolist()))
 
 
@@ -492,8 +492,9 @@ def measure_upper(matrix, digits, depth: int, level: Optional[int] = None) -> Fr
         raise ValueError("digits must form a residue system for the matrix")
     if _tile_report_cached(m, tuple(tuple(int(x) for x in v) for v in digits)).is_tile:
         return Fraction(1)
-    cells = approximate(m, digits, depth).points
-    keys, _, _ = _cover_keys(cells, unit_cell_cover(m, digits, level))
+    approx = approximate(m, digits, depth)
+    cover = _unit_cell_cover(approx.matrix, approx.shifts, level)
+    keys, _, _ = _cover_keys(approx.points, cover)
     return Fraction(len(keys), abs(lattice.det(m)) ** depth)
 
 
@@ -506,13 +507,14 @@ class ContactMatrix:
     """Transition counts k -> M k + b - a on candidate overlap translations.
 
     States are the nonzero integer vectors that can arise as differences of
-    two points of the attractor, in lexicographic order.  `edges` holds the
-    transitions as int64 arrays (rows, cols, mult) sorted by row: mult[e]
-    digit pairs (a, b) give states[cols[e]] = M @ states[rows[e]] + b - a.
+    two points of the attractor, in lexicographic order, as a CellView of a
+    read-only integer array.  `edges` holds the transitions as int64 arrays
+    (rows, cols, mult) sorted by row: mult[e] digit pairs (a, b) give
+    states[cols[e]] = M @ states[rows[e]] + b - a.
     Equality and hashing use the states.
     """
 
-    states: tuple
+    states: CellView
     edges: tuple = field(compare=False)
 
     def __len__(self) -> int:
@@ -616,9 +618,10 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     cols = pos[succ[keep]]
     hit = cols >= 0
     edges = (np.nonzero(hit)[0], cols[hit], np.broadcast_to(mult, cols.shape)[hit])
-    for a in edges:
+    states = window[keep]
+    for a in (states, *edges):
         a.flags.writeable = False
-    return ContactMatrix(states=tuple(map(tuple, window[keep].tolist())), edges=edges)
+    return ContactMatrix(states=CellView(states), edges=edges)
 
 
 def _tile_report_cached(matrix, digits) -> "TileReport":
@@ -717,10 +720,8 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     if any(b <= a for a, b in window):
         raise ValueError("window must have positive extent in every coordinate")
     # With M^-depth = P / q, the mapped unit cell M^-depth(c + [0,1]^d) spans
-    # [(P c)_i + row_neg_i, (P c)_i + row_pos_i] / q along coordinate i.
+    # (P c)_i plus the box bound of P over [0,1]^d, over q, along coordinate i.
     p, q = inverse_power(approx.matrix, approx.depth)
-    row_neg = [sum(min(x, 0) for x in row) for row in p]
-    row_pos = [sum(max(x, 0) for x in row) for row in p]
     # Candidate sample cells from the corners of M^depth(window).
     mk = mat_pow(approx.matrix, approx.depth)
     corners = [mat_vec(mk, c) for c in product(*[(lo, hi) for lo, hi in window])]
@@ -731,7 +732,7 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     t_ranges = [range(int((window[i][0] - hi_b[i]) // 1),
                       -int(-(window[i][1] - lo_b[i]) // 1) + 1) for i in range(d)]
     cand = _grid(ranges)
-    low, high = _int_product(cand, p, [row_neg, row_pos]).transpose(1, 0, 2)
+    low, high = _int_product(cand, p, _box_rows(p, [0] * d, [1] * d)).transpose(1, 0, 2)
     q_lo, q_hi = _int_array([[q * a for a, _ in window], [q * b for _, b in window]])
     samples = cand[((q_lo <= low) & (high <= q_hi)).all(axis=1)]
     if not len(samples):
@@ -744,7 +745,7 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
             and _tile_report_cached(approx.matrix, approx.shifts).is_tile):
         cover = [(0,) * d]
     else:
-        cover = unit_cell_cover(approx.matrix, approx.shifts)
+        cover = _unit_cell_cover(approx.matrix, approx.shifts, None)
     table = _cover_keys(approx.points, cover)
     # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
     rows = (samples[:, None, :] - shifted[None, :, :]).reshape(-1, d)

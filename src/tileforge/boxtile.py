@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lattice
-from .attractor import (AttractorApprox, _freeze_shifts, _int_array, _unique_rows,
-                        unit_cell_cover)
+from .attractor import (AttractorApprox, _cover_keys, _freeze_shifts, _int_array,
+                        _unique_rows, _unit_cell_cover)
 from .lattice import as_int_matrix
 
 #: Cell-count ceiling for the depth chosen by suggested_depth.
@@ -86,16 +86,10 @@ def box_digits(form: BoxForm):
     zero vector, has prod(p) elements, and is a residue system for
     build_cyclic_matrix(form).
     """
-    p = form.p
-    n = len(p)
-    ranges = [range(p[i]) for i in range(n - 1)]
-    ranges.append(range(p[n - 1]))
-    digits = []
-    for ks in product(*ranges):
-        vec = list(ks)
-        vec[n - 1] *= form.sign
-        digits.append(tuple(vec))
-    return tuple(sorted(digits))
+    *head, last = form.p
+    # The product of sorted axes is in lexicographic order.
+    axes = [range(x) for x in head] + [sorted(range(0, form.sign * last, form.sign))]
+    return tuple(product(*axes))
 
 
 def tensor_product(matrix1, shifts1, matrix2, shifts2):
@@ -105,18 +99,10 @@ def tensor_product(matrix1, shifts1, matrix2, shifts2):
     attractors; when both factors are tiles with digit sets, the product
     shift set is again a residue system.
     """
-    m1 = [list(r) for r in matrix1]
-    m2 = [list(r) for r in matrix2]
-    d1, d2 = len(m1), len(m2)
-    block = [[0] * (d1 + d2) for _ in range(d1 + d2)]
-    for i in range(d1):
-        for j in range(d1):
-            block[i][j] = m1[i][j]
-    for i in range(d2):
-        for j in range(d2):
-            block[d1 + i][d1 + j] = m2[i][j]
+    d1, d2 = len(matrix1), len(matrix2)
+    block = [(*r, *[0] * d2) for r in matrix1] + [(*[0] * d1, *r) for r in matrix2]
     shifts = tuple(tuple(s) + tuple(t) for s in shifts1 for t in shifts2)
-    return tuple(tuple(r) for r in block), shifts
+    return tuple(block), shifts
 
 
 def suggested_depth(matrix, digits) -> int:
@@ -269,6 +255,13 @@ def _box_certificate(m, digits):
 # parallelepiped detection
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol):
+    """`tol`, or ValueError unless it is finite with 0 <= tol < 1."""
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must satisfy 0 <= tol < 1, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True)
 class ParallelepipedReport:
     is_box: bool
@@ -377,8 +370,7 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
     """
     if not approx.is_integer:
         raise ValueError("parallelepiped detection requires integer data")
-    if not 0 <= tol < 1:
-        raise ValueError(f"tol must satisfy 0 <= tol < 1, got {tol}")
+    _check_tol(tol)
     d = approx.dim
     box = box_certificate(approx.matrix, approx.shifts)
     if box is not None:
@@ -397,13 +389,13 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
             "cells span a lower-dimensional subspace; the attractor is degenerate")
     det = abs(lattice.det(approx.matrix))
     scale = det ** approx.depth
-    cover = np.array(unit_cell_cover(approx.matrix, approx.shifts), dtype=np.int64)
-    # Cell z + g sits at (z - mins + 1) + (g - min(cover)) in `touched`.
-    grid, mins = _cell_grid(approx.points)
-    offsets = cover - cover.min(axis=0)
-    touched = np.zeros(tuple(np.array(grid.shape) + offsets.max(axis=0)), dtype=bool)
-    for g in offsets:
-        touched[tuple(slice(a, a + n) for a, n in zip(g, grid.shape))] |= grid
+    cover = _unit_cell_cover(approx.matrix, approx.shifts, None)
+    # The touched cells (cells + cover) as a dense grid over their key box, which
+    # bounds the keys, so they narrow to int64 whatever their dtype.
+    keys, _, span = _cover_keys(approx.points, cover)
+    touched = np.zeros(math.prod(span), dtype=bool)
+    touched[keys.astype(np.int64)] = True
+    touched = touched.reshape(span)
     full = np.ones((3,) * d, dtype=bool)
     interior = ndimage.binary_erosion(touched, structure=full)
     vol_hi = int(np.count_nonzero(touched)) / scale
@@ -414,7 +406,7 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
         hull_volume = fit_volume = float(width)
         edges = ((float(width),),)
     else:
-        pts = _corner_cloud(approx, grid, mins)
+        pts = _corner_cloud(approx, *_cell_grid(approx.points))
         hull_volume, fit_volume, edges = _min_parallelepiped(pts, d)
     filled = hull_volume >= (1.0 - tol) * fit_volume
     consistent = (vol_lo <= hull_volume * (1.0 + tol)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -98,14 +99,35 @@ def _validate_spec(spec):
     extra = spec.keys() - allowed
     if extra:
         raise InputError(f"spec kind {kind!r} does not take fields {sorted(extra)}")
+    if not isinstance(spec.get("params", {}), dict):
+        raise InputError(f"spec params must be a JSON object, got {spec['params']!r}")
     return spec
 
 
 def _integral(x):
-    """int(x), refusing the non-integral floats that int() would truncate."""
+    """int(x) for an integer or an integral float; ValueError for anything else."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"entry {x!r} is not a number")
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"entry {x!r} is not an integer")
     return int(x)
+
+
+def _int_system(matrix, digits):
+    """A square integer matrix and integer digit vectors of its dimension, as lists
+    and tuples; a scalar digit is a vector of length one.  InputError otherwise."""
+    try:
+        matrix = [[_integral(x) for x in row] for row in matrix]
+        lattice.as_int_matrix(matrix)
+        digits = [tuple(v) if hasattr(v, "__len__") else (v,) for v in digits]
+        digits = [tuple(_integral(x) for x in v) for v in digits]
+        if any(len(v) != len(matrix) for v in digits):
+            raise ValueError(f"digits must have the matrix dimension {len(matrix)}")
+        if any(abs(x) > lattice.MAX_ENTRY for v in digits for x in v):
+            raise OverflowError("digit entries exceed the 64-bit input bound")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
+    return matrix, digits
 
 
 def _matrix_digits_from(args, spec=None):
@@ -131,22 +153,15 @@ def _matrix_digits_from(args, spec=None):
         raise InputError("a matrix is required (--matrix or --spec)")
     if digits is None:
         raise InputError("a digit/shift set is required (--digits or --spec)")
-    try:
-        matrix = [[_integral(x) for x in row] for row in matrix]
-        digits = [tuple(v) if hasattr(v, "__len__") else (v,) for v in digits]
-        digits = [tuple(_integral(x) for x in v) for v in digits]
-        if any(abs(x) > lattice.MAX_ENTRY for v in digits for x in v):
-            raise OverflowError("digit entries exceed the 64-bit input bound")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
-    return matrix, digits, spec.get("params", {})
+    return (*_int_system(matrix, digits), spec.get("params", {}))
 
 
 def _positive(args, params, name, default=None):
     """--name, else params[name], else default: None or a positive integer (else exit 2)."""
     value = getattr(args, name)
-    value = params.get(name, default) if value is None else value
-    if value is not None and (value := _integral(value)) <= 0:
+    if value is None and name not in params:
+        return default
+    if (value := _integral(params[name] if value is None else value)) <= 0:
         raise InputError(f"{name} must be positive, got {value}")
     return value
 
@@ -172,7 +187,11 @@ def _boxform_from(args, spec=None):
             raise InputError("--sign must be + or -")
     if p is None:
         raise InputError("box commands need -p (or a boxform spec)")
-    return boxtile.BoxForm(tuple(p), int(sign))
+    if not isinstance(p, list):
+        raise InputError(f"p must be a list of integers, got {p!r}")
+    form = boxtile.BoxForm(tuple(map(_integral, p)), _integral(sign))
+    attractor._check_budget("the box digit set", math.prod(form.p))
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +279,21 @@ def cmd_tile_render(args) -> int:
             raise InputError("--tiling window is empty")
         width, height = (x1 - x0) * resolution, (y1 - y0) * resolution
         img = _blank_image(width, height)
-        # Any translate whose bounding box meets the window can contribute.
+        # Translates whose bounding box meets the window, in sorted order, give
+        # the palette index; only those putting a cell pixel g in the window
+        # paint: t0 - g // R + k for 0 <= k < t1 - t0 on each axis.
         lo_b, hi_b = attractor.bounding_box(matrix, shifts)
         xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
         ys = range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
-        # Translates in sorted order, painted last to first so the first keeps each pixel.
-        for index, (tx, ty) in reversed(list(enumerate((tx, ty) for tx in xs for ty in ys))):
+        units = attractor._unique_rows(np.stack([gx, gy], axis=1) // resolution)[0]
+        attractor._check_budget("the tiling translates", len(units) * (x1 - x0) * (y1 - y0))
+        steps = attractor._grid([range(x1 - x0), range(y1 - y0)])
+        pairs = attractor._unique_rows((((x0, y0) - units)[:, None] + steps).reshape(-1, 2))[0]
+        pairs = pairs[(xs.start <= pairs[:, 0]) & (pairs[:, 0] < xs.stop)
+                      & (ys.start <= pairs[:, 1]) & (pairs[:, 1] < ys.stop)]
+        # Painted last to first so the first keeps each pixel.
+        for tx, ty in reversed(pairs.tolist()):
+            index = (tx - xs.start) * len(ys) + (ty - ys.start)
             px = gx + (tx - x0) * resolution
             py = gy + (ty - y0) * resolution
             keep = (0 <= px) & (px < width) & (0 <= py) & (py < height)
@@ -330,8 +358,8 @@ def cmd_box_detect(args) -> int:
         digits = boxtile.box_digits(form)
     else:
         matrix, digits, _ = _matrix_digits_from(args, spec)
+    tol = boxtile._check_tol(args.tol if args.tol is not None else 0.05)
     depth = _positive(args, {}, "depth") or boxtile.suggested_depth(matrix, digits)
-    tol = args.tol if args.tol is not None else 0.05
     approx = attractor.approximate(matrix, digits, depth)
     try:
         report = boxtile.is_parallelepiped(approx, tol=tol)
@@ -477,12 +505,10 @@ def cmd_oned_lset(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_product(args) -> int:
-    m1 = _parse_json_field(args.matrix1, "--matrix1")
-    s1 = _parse_json_field(args.shifts1, "--shifts1")
-    m2 = _parse_json_field(args.matrix2, "--matrix2")
-    s2 = _parse_json_field(args.shifts2, "--shifts2")
-    s1 = [v if hasattr(v, "__len__") else (v,) for v in s1]
-    s2 = [v if hasattr(v, "__len__") else (v,) for v in s2]
+    m1, s1 = _int_system(_parse_json_field(args.matrix1, "--matrix1"),
+                         _parse_json_field(args.shifts1, "--shifts1"))
+    m2, s2 = _int_system(_parse_json_field(args.matrix2, "--matrix2"),
+                         _parse_json_field(args.shifts2, "--shifts2"))
     matrix, shifts = boxtile.tensor_product(m1, s1, m2, s2)
     _emit({
         "kind": "product",

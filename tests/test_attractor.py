@@ -495,6 +495,12 @@ def test_int_helpers_match_python_int_reference(data, patched):
                               max(map(abs, flat)), guard)
 
 
+def test_int_product_reads_rows_past_int64_under_a_zero_matrix():
+    # The bound is 0, so the product is int64, though the rows do not fit int64.
+    out = attractor._int_product([[2 ** 63]], [[0]])
+    assert out.tolist() == [[0]] and out.dtype == np.int64
+
+
 @pytest.mark.parametrize("matrix, shifts", [
     (((5, 2 ** 40), (0, 5)), tuple((a, b) for a in range(5) for b in range(5))),
     (((2,),), ((0,), (2 ** 62,))),
@@ -594,6 +600,61 @@ def test_contact_matrix_counts_row_total():
     contact = contact_matrix([[2]], ((0,), (3,)))
     for row in contact.counts:
         assert sum(row) <= 4
+
+
+def _reference_cover(m, shifts, level):
+    """The unit-cell cover as one interval product per level cell, in Python ints."""
+    d = len(m)
+    lo, hi = bounding_box(m, shifts)
+    sn, q = inverse_power(m, level)
+    r = math.lcm(*(x.denominator for x in (*lo, *hi)))
+    blo, bhi = [int(x * r) for x in lo], [int(x * r) for x in hi]
+    marked = set()
+    for c in approximate(m, shifts, level).cells:
+        ranges = []
+        for i in range(d):
+            base = sum(sn[i][j] * c[j] for j in range(d)) * r
+            lo_num = base + sum(a * (b if a >= 0 else t) for a, b, t in zip(sn[i], blo, bhi))
+            hi_num = base + sum(a * (t if a >= 0 else b) for a, b, t in zip(sn[i], blo, bhi))
+            # least g with g + 1 > lo through the greatest g with g < hi
+            ranges.append(range(lo_num // (q * r), (hi_num - 1) // (q * r) + 1))
+        marked.update(itertools.product(*ranges))
+    return tuple(sorted(marked))
+
+
+def _clear_cell_memos():
+    for memo in (attractor._level, attractor._unit_cell_cover, attractor._bounding_box_exact):
+        memo.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(digit_systems(), st.sampled_from([1, 2, 3]), st.booleans())
+def test_unit_cell_cover_matches_per_cell_reference(system, level, patched):
+    m, digits = system
+    want = _reference_cover(m, digits, level)
+    with pytest.MonkeyPatch.context() as mp:
+        if patched:
+            mp.setattr(attractor, "INT64_SAFE", 1)
+        _clear_cell_memos()
+        try:
+            got = unit_cell_cover(m, digits, level)
+        finally:
+            _clear_cell_memos()
+    assert got == want
+    if patched:
+        assert got._points.dtype == object
+
+
+def test_cell_sets_are_read_only_views():
+    cover = unit_cell_cover(DRAGON_M, DRAGON_D)
+    contact = contact_matrix(DRAGON_M, DRAGON_D)
+    for view in (cover, contact.states):
+        assert isinstance(view, attractor.CellView)
+        assert not view._points.flags.writeable
+    # Equality and hashing use the states, whether a view or a tuple holds them.
+    twin = attractor.ContactMatrix(states=tuple(contact.states), edges=contact.edges)
+    assert contact == twin and twin == contact and hash(contact) == hash(twin)
+    assert contact != contact_matrix(DRAGON_M, ((0, 0), (3, 0)))
 
 
 def test_cells_match_bruteforce_digit_strings():

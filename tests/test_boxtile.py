@@ -328,13 +328,16 @@ def _numeric_reference(approx, tol=0.05):
             float(vol_hi), float(vol_lo), tol)
 
 
-@pytest.mark.parametrize("matrix,digits,depth", [
+REFUSED_SYSTEMS = [
     ([[1, 1], [-1, 1]], [(0, 0), (1, 0)], 8),          # twindragon
     ([[1, 1], [-1, 1]], [(0, 0), (3, 0)], 6),          # twindragon, digits times 3
     ([[3]], [(0,), (1,), (5,)], 6),
     ([[1, -3], [1, -1]], [(0, 0), (1, 0)], 8),         # [[0,-2],[1,0]] conjugated by [[1,1],[0,1]]
     ([[2, 0], [0, 2]], [(0, 0), (1, 0)], 5),           # degenerate cloud
-])
+]
+
+
+@pytest.mark.parametrize("matrix,digits,depth", REFUSED_SYSTEMS)
 def test_refused_systems_keep_numeric_report(matrix, digits, depth):
     approx = approximate(matrix, digits, depth)
     assert box_certificate(matrix, digits) is None
@@ -349,6 +352,21 @@ def test_refused_systems_keep_numeric_report(matrix, digits, depth):
     got = (report.is_box, report.edge_vectors, report.hull_volume, report.fit_volume,
            report.measure_estimate, report.interior_estimate, report.tol)
     assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("matrix,digits,depth", REFUSED_SYSTEMS)
+def test_refused_systems_keep_numeric_report_past_int64(matrix, digits, depth):
+    # Every cell, cover and touched key is a Python int; the keys still index the grid.
+    memos = (attractor._level, attractor._unit_cell_cover)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attractor, "INT64_SAFE", 1)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            test_refused_systems_keep_numeric_report(matrix, digits, depth)
+        finally:
+            for memo in memos:
+                memo.cache_clear()
 
 
 def test_box_detect_certifies_scaled_form(capsys):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, schemas, deterministic output."""
 
+import itertools
 import json
 import sys
 import threading
@@ -9,6 +10,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tileforge import attractor, cli
 from tileforge.cli import PALETTE, main
@@ -562,3 +565,139 @@ def test_box_detect_tol_out_of_range_is_input_error(tol, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("error: tol must satisfy 0 <= tol < 1")
+
+
+def test_box_detect_checks_tol_before_building_cells(capsys, monkeypatch):
+    calls = []
+    real = attractor.approximate
+    monkeypatch.setattr(attractor, "approximate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    code = main(["box", "detect", *DRAGON, "--tol", "5"])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err.startswith("error: tol must satisfy 0 <= tol < 1")
+
+
+def _reference_tiling(matrix, digits, depth, resolution, window):
+    """PPM bytes of a tiling painted over every translate whose bounding box
+    meets the window, in sorted order, last to first."""
+    approx = attractor.approximate(matrix, digits, depth)
+    gx, gy = attractor.grid_indices(approx, resolution, (0, 0)).astype(np.int64)
+    (x0, x1), (y0, y1) = window
+    width, height = (x1 - x0) * resolution, (y1 - y0) * resolution
+    img = np.full((height, width, 3), 255, dtype=np.uint8)
+    lo, hi = attractor.bounding_box(matrix, digits)
+    xs = range(x0 - int(hi[0] // 1) - 1, x1 - int(lo[0] // 1) + 1)
+    ys = range(y0 - int(hi[1] // 1) - 1, y1 - int(lo[1] // 1) + 1)
+    for index, (tx, ty) in reversed(list(enumerate(itertools.product(xs, ys)))):
+        px = gx + (tx - x0) * resolution
+        py = gy + (ty - y0) * resolution
+        keep = (0 <= px) & (px < width) & (0 <= py) & (py < height)
+        img[height - 1 - py[keep], px[keep]] = PALETTE[index % len(PALETTE)]
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + img.tobytes()
+
+
+@pytest.mark.parametrize("matrix, digits, depth, resolution, window", [
+    ([[1, 1], [-1, 1]], [[0, 0], [1, 0]], 10, 16, ((-1, 2), (-1, 2))),
+    ([[1, 1], [-1, 1]], [[3, 1], [4, 1]], 8, 8, ((-2, 1), (0, 3))),     # no zero digit
+    ([[1, 1], [-1, 1]], [[0, 0], [3, 0]], 8, 3, ((0, 3), (0, 3))),
+    ([[1, -3], [1, -1]], [[0, 0], [1, 0]], 9, 12, ((-1, 1), (-1, 1))),
+])
+def test_tiling_paints_like_every_box_translate(tmp_path, capsys, matrix, digits, depth,
+                                                resolution, window):
+    out = tmp_path / "tiling.ppm"
+    tiling = ",".join(f"{a}:{b}" for a, b in window)
+    code = main(["tile", "render", "--matrix", json.dumps(matrix), "--digits", json.dumps(digits),
+                 "--depth", str(depth), "--resolution", str(resolution), f"--tiling={tiling}",
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == _reference_tiling(matrix, digits, depth, resolution, window)
+
+
+def test_tiling_visits_only_translates_reaching_the_window(tmp_path, capsys):
+    # The bounding box of the twindragon with digits x 1001 meets about 2.2 M
+    # translates of the window, yet only the 256 cells at depth 8 can reach it.
+    out = tmp_path / "tiling.ppm"
+    start = time.perf_counter()
+    code = main(["tile", "render", "--matrix", "[[1,1],[-1,1]]", "--digits", "[[0,0],[1001,0]]",
+                 "--depth", "8", "--resolution", "4", "--tiling=0:1,0:1", "--out", str(out)])
+    assert code == 0 and time.perf_counter() - start < 10
+    assert out.stat().st_size > 0
+
+
+def _product(**flags):
+    """A product command line, with the given flags replacing the defaults."""
+    values = {"matrix1": "[[2]]", "shifts1": "[[0],[1]]", "matrix2": "[[3]]",
+              "shifts2": "[[0],[1],[2]]", **flags}
+    return ["product", *(f"--{k}={v}" for k, v in values.items())]
+
+
+_ATTRACTOR = {"kind": "attractor", "matrix": [[2]], "digits": [[0], [1]]}
+
+#: Inputs that once raised a traceback or exited 0 with a wrong report.
+MALFORMED = {
+    "params-not-object": (["tile", "check"], {**_ATTRACTOR, "params": 5}),
+    "depth-not-number": (["tile", "check"], {**_ATTRACTOR, "params": {"depth": [1]}}),
+    "depth-null": (["tile", "check"], {**_ATTRACTOR, "params": {"depth": None}}),
+    "p-not-list-build": (["box", "build"], {"kind": "boxform", "p": 5}),
+    "p-not-list-detect": (["box", "detect"], {"kind": "boxform", "p": 5}),
+    "sign-not-integer": (["box", "build"], {"kind": "boxform", "p": [2], "sign": [1]}),
+    "product-shifts-scalar": (_product(shifts1="5"), None),
+    "product-matrix-scalar": (_product(matrix1="5"), None),
+    "product-matrix-string": (_product(matrix1='[["a"]]'), None),
+    "product-matrix-not-square": (_product(matrix1="[[2,0]]"), None),
+    "product-shifts-fraction": (_product(shifts1="[[0],[0.5]]"), None),
+    "product-shifts-dimension": (_product(shifts2="[[0,0],[1,0],[2,0]]"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_input_error(name, tmp_path, capsys):
+    argv, spec = MALFORMED[name]
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = [*argv, "--spec", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_box_digit_set_over_budget_exits_resource(capsys):
+    # 10^10 digits used to be built one tuple at a time.
+    assert main(["box", "digits", "-p", "100000,100000"]) == 3
+    assert "the box digit set needs up to 10000000000 cells" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=2),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["tile check", "tile measure", "box build", "box detect",
+                                "product"]),
+       values=st.fixed_dictionaries({
+           "matrix": st.one_of(_JSON, st.just([[2]]), st.just([[1, 1], [-1, 1]])),
+           "digits": st.one_of(_JSON, st.just([[0], [1]]), st.just([[0, 0], [1, 0]])),
+           "params": st.one_of(_JSON, st.fixed_dictionaries({"depth": _JSON})),
+           "p": st.one_of(_JSON, st.lists(st.integers(-1, 3), max_size=3)),
+           "sign": _JSON}))
+def test_cli_never_raises_on_json_values(command, values, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "300")
+    if command == "product":
+        argv = _product(matrix1=json.dumps(values["matrix"]), shifts1=json.dumps(values["digits"]),
+                        shifts2=json.dumps(values["p"]))
+    else:
+        if command.startswith("tile"):
+            spec = {"kind": "attractor", "matrix": values["matrix"], "digits": values["digits"]}
+        else:
+            spec = {"kind": "boxform", "p": values["p"], "sign": values["sign"]}
+        spec["params"] = values["params"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = [*command.split(), "--spec", str(path)]
+    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
