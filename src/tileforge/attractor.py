@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .lattice import as_int_matrix, inverse_power, mat_pow, mat_vec
+from .lattice import System, _inverse_power, mat_pow, mat_vec
 
 DEFAULT_MAX_CELLS = 5_000_000
 
@@ -54,46 +54,6 @@ def max_cells_budget() -> int:
 
 
 # ---------------------------------------------------------------------------
-# shift sets and system normalization
-# ---------------------------------------------------------------------------
-
-def _freeze_shifts(shifts, dim):
-    """Normalize a shift set to a sorted tuple of int or float tuples."""
-    out = []
-    integral = True
-    for s in shifts:
-        vec = tuple(s)
-        if len(vec) != dim:
-            raise ValueError(f"shift {s!r} has wrong dimension, expected {dim}")
-        if all(float(x).is_integer() for x in vec):
-            out.append(tuple(int(x) for x in vec))
-        else:
-            integral = False
-            out.append(tuple(float(x) for x in vec))
-    if not out:
-        raise ValueError("shift set must be nonempty")
-    if not integral:
-        out = [tuple(float(x) for x in v) for v in out]
-    return tuple(sorted(set(out))), integral
-
-
-def _freeze_matrix(matrix):
-    """Accept an integer or real square matrix; return (rows, is_integer)."""
-    rows = [tuple(row) for row in matrix]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    integral = all(float(x).is_integer() for r in rows for x in r)
-    if integral:
-        return as_int_matrix([[int(x) for x in r] for r in rows]), True
-    return tuple(tuple(float(x) for x in r) for r in rows), False
-
-
-def _is_expanding_any(matrix) -> bool:
-    eigvals = np.linalg.eigvals(np.array(matrix, dtype=float))
-    return bool(np.min(np.abs(eigvals)) > 1.0 + lattice.EIG_TOL)
-
-
-# ---------------------------------------------------------------------------
 # certified bounding boxes
 # ---------------------------------------------------------------------------
 
@@ -105,15 +65,14 @@ def bounding_box(matrix, shifts):
     coordinate series with independent shift choices per level, plus a tail
     bound 2 * ||M^{-J}||_inf * P_J * max|s| once ||M^{-J}||_inf <= 1/2.
     """
-    m, m_int = _freeze_matrix(matrix)
-    sh, s_int = _freeze_shifts(shifts, len(m))
-    if m_int and s_int:
-        return _bounding_box_exact(m, sh)
-    return _bounding_box_float(m, sh)
+    system = System.of(matrix, shifts)
+    if system.is_integer:
+        return _bounding_box_exact(system)
+    return _bounding_box_float(system.matrix, system.digits)
 
 
 @lru_cache(maxsize=256)
-def _bounding_box_exact(matrix, shifts):
+def _bounding_box_exact(system):
     """Scaled-integer evaluation of the coordinate series with certified tail.
 
     M^{-j} = P^j / q^j with (P, q) = inverse_power(M, 1).  The stopping rule
@@ -122,8 +81,9 @@ def _bounding_box_exact(matrix, shifts):
     Then one stacked product forms every level's shift images, and the
     per-coordinate extremes are summed as numerators over q^J.
     """
-    step, q1 = inverse_power(matrix, 1)
-    smax = max(abs(x) for s in shifts for x in s)
+    step, q1 = system.inverse
+    shifts = system.array
+    smax = _abs_max(shifts)
     powers = [step]
     n, q = 0, q1
     halved = False
@@ -222,7 +182,8 @@ class AttractorApprox:
     Cell z stands for the region M^{-depth}(z + B) with B the certified
     bounding box of the attractor.  `points` holds the distinct cells in
     lexicographic order (see _level); equality and hashing use the four
-    fields that determine them.
+    fields that determine them.  `system` is the System of matrix and
+    shifts, built from them when not given.
     """
 
     matrix: tuple
@@ -230,6 +191,11 @@ class AttractorApprox:
     depth: int
     points: np.ndarray = field(compare=False)
     is_integer: bool
+    system: System = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.system is None:
+            object.__setattr__(self, "system", System.of(self.matrix, self.shifts))
 
     @property
     def dim(self) -> int:
@@ -325,40 +291,44 @@ def _unique_rows(rows):
 
 
 @lru_cache(maxsize=96)
-def _level(matrix, shifts, t, is_integer):
+def _level(system, t):
     """Frontier level t: {0} at t = 0, then {M z + s : z in level t-1}.
 
     A read-only (n, d) array of distinct rows in lexicographic order: int64,
     Python ints (dtype object) past INT64_SAFE, or float64 for real data.
     """
-    d = len(matrix)
+    d = system.dim
     if t == 0:
-        # Memoized with the level, so each system's expansion is checked once.
-        if not _is_expanding_any(matrix):
-            raise ValueError("matrix must be expanding")
-        pts = np.zeros((1, d), dtype=np.int64 if is_integer else float)
-    elif is_integer:
-        rows = _int_product(_level(matrix, shifts, t - 1, is_integer), matrix, shifts)
+        pts = np.zeros((1, d), dtype=np.int64 if system.is_integer else float)
+    elif system.is_integer:
+        rows = _int_product(_level(system, t - 1), system.matrix, system.array)
         pts = _unique_rows(rows.reshape(-1, d))[0]
     else:
-        prev = _level(matrix, shifts, t - 1, is_integer)
-        rows = (prev @ np.array(matrix, dtype=float).T)[:, None] + np.array(shifts)
+        prev = _level(system, t - 1)
+        rows = (prev @ np.array(system.matrix, dtype=float).T)[:, None] + system.array
         pts = np.unique(np.round(rows.reshape(-1, d), 12), axis=0)
     pts.flags.writeable = False
     return pts
 
 
-def _cells_at(matrix, shifts, depth, is_integer, max_cells):
+def _cells_at(system, depth, max_cells):
     """Cells at `depth`, built level by level within the cell budget."""
+    if not system.is_expanding:
+        raise ValueError("matrix must be expanding")
+    # Two distinct shifts add a cell per level, so only one shift reaches a
+    # depth past the budget, and its one-cell frontier would never stop it.
+    if depth > max_cells:
+        raise ResourceLimitError(
+            f"depth {depth} exceeds the budget of {max_cells} cells (TILEFORGE_MAX_CELLS)")
     # The budget is checked per level whether or not the level is cached.
     for t in range(1, depth + 1):
-        need = len(_level(matrix, shifts, t - 1, is_integer)) * len(shifts)
+        need = len(_level(system, t - 1)) * len(system.digits)
         if need > max_cells:
             raise ResourceLimitError(
                 f"depth {t} needs up to {need} cells, "
                 f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
             )
-    return _level(matrix, shifts, depth, is_integer)
+    return _level(system, depth)
 
 
 def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
@@ -370,13 +340,11 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    m, m_int = _freeze_matrix(matrix)
-    sh, s_int = _freeze_shifts(shifts, len(m))
-    integral = m_int and s_int
+    system = System.of(matrix, shifts)
     budget = max_cells if max_cells is not None else max_cells_budget()
-    cells = _cells_at(m, sh, depth, integral, budget)
-    return AttractorApprox(matrix=m, shifts=sh, depth=depth, points=cells,
-                           is_integer=integral)
+    cells = _cells_at(system, depth, budget)
+    return AttractorApprox(matrix=system.matrix, shifts=system.digits, depth=depth,
+                           points=cells, is_integer=system.is_integer, system=system)
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +361,23 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     arithmetic throughout, so no cell of positive overlap is ever dropped.
     Returns the cells in lexicographic order as a read-only CellView.
     """
-    m, m_int = _freeze_matrix(matrix)
-    sh, s_int = _freeze_shifts(shifts, len(m))
-    if not (m_int and s_int):
+    system = System.of(matrix, shifts)
+    if not system.is_integer:
         raise ValueError("unit-cell covers require integer data")
-    return CellView(_unit_cell_cover(m, sh, level))
+    return CellView(_unit_cell_cover(system, level))
 
 
 @lru_cache(maxsize=64)
-def _unit_cell_cover(m, sh, level):
-    lo, hi = _bounding_box_exact(m, sh)
+def _unit_cell_cover(system, level):
+    lo, hi = _bounding_box_exact(system)
     if level is None:
         level = 1
-        while len(sh) ** (level + 1) <= 512:
+        while len(system.digits) ** (level + 1) <= 512:
             level += 1
-    cells = _cells_at(m, sh, level, True, max_cells_budget())
+    cells = _cells_at(system, level, max_cells_budget())
     # Scaled integers: M^{-level} = sn / q and B = [lo, hi] has denominator r,
     # so one product gives each region M^{-level}(c + B) as [low, high] / (q r).
-    sn, q = inverse_power(m, level)
+    sn, q = _inverse_power(system, level)
     r = math.lcm(*(x.denominator for x in (*lo, *hi)))
     box = _box_rows(sn, [int(x * r) for x in lo], [int(x * r) for x in hi])
     low, high = _int_product(cells, [[x * r for x in row] for row in sn], box).transpose(1, 0, 2)
@@ -474,7 +441,7 @@ def _has_cells(table, rows):
 def touched_cells(matrix, shifts, depth: int, level: Optional[int] = None):
     """Unit cells at scale M^{-depth} covering the attractor: cells + cover."""
     approx = approximate(matrix, shifts, depth)
-    cover = _unit_cell_cover(approx.matrix, approx.shifts, level)
+    cover = _unit_cell_cover(approx.system, level)
     return set(map(tuple, _unravel(*_cover_keys(approx.points, cover)).tolist()))
 
 
@@ -487,15 +454,15 @@ def measure_upper(matrix, digits, depth: int, level: Optional[int] = None) -> Fr
     cover are counted and divided by m^depth.  Either way the sequence in
     depth is a non-increasing upper bound converging to the measure.
     """
-    m = as_int_matrix(matrix)
-    if not lattice.validate_digits(m, digits):
+    system = System.of(matrix, digits)
+    if not lattice.validate_digits(system, digits):
         raise ValueError("digits must form a residue system for the matrix")
-    if _tile_report_cached(m, tuple(tuple(int(x) for x in v) for v in digits)).is_tile:
+    if _tile_report(system).is_tile:
         return Fraction(1)
-    approx = approximate(m, digits, depth)
-    cover = _unit_cell_cover(approx.matrix, approx.shifts, level)
+    approx = approximate(system, system.digits, depth)
+    cover = _unit_cell_cover(system, level)
     keys, _, _ = _cover_keys(approx.points, cover)
-    return Fraction(len(keys), abs(lattice.det(m)) ** depth)
+    return Fraction(len(keys), abs(system.det) ** depth)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +550,21 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     exactly the set of integer vectors sum M^{-j} (b_j - a_j) in any window
     holding them all.
     """
-    m = as_int_matrix(matrix)
-    d = len(m)
-    pts = [tuple(map(int, v)) for v in digits]
-    lo, hi = _bounding_box_exact(m, tuple(sorted(set(pts))))
+    system = System.of(matrix, digits)
+    if not system.is_integer:
+        raise ValueError("contact matrices require integer data")
+    d = system.dim
+    lo, hi = _bounding_box_exact(system)
     # box(G) - box(G) is symmetric: its integer points reach floor(width) each way.
     w = [int((h - l) // 1) for l, h in zip(lo, hi)]
     neg, span = [-b for b in w], [2 * b + 1 for b in w]
     n = math.prod(span)
-    dig = _int_array(pts)
+    dig = _int_array(system.array)
     deltas, mult = _unique_rows((dig[None] - dig[:, None]).reshape(-1, d))
     _check_budget("the contact window", n * len(deltas))
     # Window states in row-major key order, which is lexicographic order.
     window = _unravel(np.arange(n), neg, span)
-    rows = _int_product(window, m, deltas)
+    rows = _int_product(window, system.matrix, deltas)
     # Successor keys; n is the dead sentinel for successors off the window.
     inside = ((rows >= np.array(neg)) & (rows <= np.array(w))).all(axis=2)
     succ = np.full(inside.shape, n, dtype=np.int64)
@@ -624,14 +592,9 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     return ContactMatrix(states=CellView(states), edges=edges)
 
 
-def _tile_report_cached(matrix, digits) -> "TileReport":
-    # The report does not depend on the order of the digits.
-    return _tile_report(matrix, tuple(sorted(digits)))
-
-
 @lru_cache(maxsize=256)
-def _tile_report(matrix, digits) -> "TileReport":
-    return tile_check_exact(matrix, digits)
+def _tile_report(system) -> "TileReport":
+    return tile_check_exact(system, system.digits)
 
 
 def tile_check_exact(matrix, digits) -> TileReport:
@@ -647,13 +610,13 @@ def tile_check_exact(matrix, digits) -> TileReport:
     column sum over the remaining states is below m until none is dropped.
     The system is a tile iff that set is empty.  No eigenvalue is computed.
     """
-    m = as_int_matrix(matrix)
-    if not lattice.is_expanding(m):
+    system = System.of(matrix, digits)
+    if not lattice.is_expanding(system):
         raise ValueError("matrix must be expanding")
-    if not lattice.validate_digits(m, digits):
+    if not lattice.validate_digits(system, digits):
         raise ValueError("digits must form a residue system for the matrix")
-    modulus = abs(lattice.det(m))
-    contact = contact_matrix(m, digits)
+    modulus = abs(system.det)
+    contact = contact_matrix(system, system.digits)
     rows, cols, mult = contact.edges
 
     def col_sums(sel):
@@ -684,19 +647,20 @@ def self_similarity_residual(approx: AttractorApprox) -> float:
     """
     if approx.depth < 2:
         raise ValueError("self-similarity residual needs depth >= 2")
-    side1 = set(approx.cells)
-    prev = approximate(approx.matrix, approx.shifts, approx.depth - 1)
+    system = approx.system
+    prev = approximate(system, system.digits, approx.depth - 1)
     d = approx.dim
     if approx.is_integer:
-        mk = mat_pow(approx.matrix, approx.depth - 1)
-        lead = [mat_vec(mk, s) for s in approx.shifts]
-        side2 = {tuple(z[i] + t[i] for i in range(d))
-                 for z in prev.cells for t in lead}
-    else:
-        mk = np.linalg.matrix_power(np.array(approx.matrix, float), approx.depth - 1)
-        lead = [mk @ np.array(s, float) for s in approx.shifts]
-        side2 = {tuple(round(z[i] + t[i], 12) for i in range(d))
-                 for z in prev.cells for t in lead}
+        # Both sides as distinct rows; a row of both appears twice in the union.
+        side2 = _int_product(system.array, mat_pow(system.matrix, approx.depth - 1), prev.points)
+        _, mult = _unique_rows(np.concatenate([approx.points,
+                                               _unique_rows(side2.reshape(-1, d))[0]]))
+        return int(np.count_nonzero(mult == 1)) / len(mult)
+    side1 = set(approx.cells)
+    mk = np.linalg.matrix_power(np.array(approx.matrix, float), approx.depth - 1)
+    lead = [mk @ np.array(s, float) for s in approx.shifts]
+    side2 = {tuple(round(z[i] + t[i], 12) for i in range(d))
+             for z in prev.cells for t in lead}
     union = side1 | side2
     return len(side1 ^ side2) / len(union)
 
@@ -721,14 +685,15 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
         raise ValueError("window must have positive extent in every coordinate")
     # With M^-depth = P / q, the mapped unit cell M^-depth(c + [0,1]^d) spans
     # (P c)_i plus the box bound of P over [0,1]^d, over q, along coordinate i.
-    p, q = inverse_power(approx.matrix, approx.depth)
+    system = approx.system
+    p, q = _inverse_power(system, approx.depth)
     # Candidate sample cells from the corners of M^depth(window).
-    mk = mat_pow(approx.matrix, approx.depth)
+    mk = mat_pow(system.matrix, approx.depth)
     corners = [mat_vec(mk, c) for c in product(*[(lo, hi) for lo, hi in window])]
     ranges = [range(min(c[i] for c in corners) - 1, max(c[i] for c in corners) + 1)
               for i in range(d)]
     # Translate range big enough that every translate meeting the window appears.
-    lo_b, hi_b = _bounding_box_exact(approx.matrix, approx.shifts)
+    lo_b, hi_b = _bounding_box_exact(system)
     t_ranges = [range(int((window[i][0] - hi_b[i]) // 1),
                       -int(-(window[i][1] - lo_b[i]) // 1) + 1) for i in range(d)]
     cand = _grid(ranges)
@@ -741,11 +706,10 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     # A certified tile admits an exact one-layer stand-in: its cells are a
     # complete residue system mod M^depth.  Otherwise count against the
     # geometric unit-cell cover, where boundary cells may deviate.
-    if (lattice.validate_digits(approx.matrix, approx.shifts)
-            and _tile_report_cached(approx.matrix, approx.shifts).is_tile):
+    if system.is_residue_system and _tile_report(system).is_tile:
         cover = [(0,) * d]
     else:
-        cover = _unit_cell_cover(approx.matrix, approx.shifts, None)
+        cover = _unit_cell_cover(system, None)
     table = _cover_keys(approx.points, cover)
     # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
     rows = (samples[:, None, :] - shifted[None, :, :]).reshape(-1, d)
@@ -793,7 +757,7 @@ def grid_indices(approx: AttractorApprox, resolution: int, origin):
         raise ValueError("exact grid indices require integer data")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    p, q = inverse_power(approx.matrix, approx.depth)
+    p, q = _inverse_power(approx.system, approx.depth)
     origin = [Fraction(x) for x in origin]
     b = math.lcm(*(x.denominator for x in origin))
     rows = [[x * b * resolution for x in row] for row in p]
@@ -813,7 +777,7 @@ def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
         raise ValueError("resolution must be positive")
     d = approx.dim
     if box is None:
-        lo, hi = bounding_box(approx.matrix, approx.shifts)
+        lo, hi = bounding_box(approx.system, approx.shifts)
     else:
         lo, hi = box
         lo = tuple(Fraction(x) if approx.is_integer else float(x) for x in lo)

@@ -25,9 +25,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lattice
-from .attractor import (AttractorApprox, _cover_keys, _freeze_shifts, _int_array,
-                        _unique_rows, _unit_cell_cover)
-from .lattice import as_int_matrix
+from .attractor import AttractorApprox, _cover_keys, _int_array, _unique_rows, _unit_cell_cover
+from .lattice import System, as_int_matrix
 
 #: Cell-count ceiling for the depth chosen by suggested_depth.
 DEPTH_CELL_BUDGET = 70_000
@@ -73,10 +72,10 @@ def build_cyclic_matrix(form: BoxForm):
     for i in range(n - 1):
         rows[i][i + 1] = p[i]
     rows[n - 1][0] = form.sign * p[n - 1]
-    m = as_int_matrix(rows)
-    if not lattice.is_expanding(m):
+    system = System.of(rows)
+    if not lattice.is_expanding(system):
         raise ValueError(f"cyclic matrix for {form} is not expanding")
-    return m
+    return system.matrix
 
 
 def box_digits(form: BoxForm):
@@ -114,7 +113,8 @@ def suggested_depth(matrix, digits) -> int:
     """
     from .attractor import approximate
 
-    d = len(matrix)
+    system = System.of(matrix, digits)
+    d = system.dim
     m = max(len(digits), 2)
     depth = 2
     while m ** (depth + 1) <= 4096 and depth < 8:
@@ -122,7 +122,7 @@ def suggested_depth(matrix, digits) -> int:
     while m ** depth < 4 ** d and m ** (depth + 1) <= DEPTH_CELL_BUDGET:
         depth += 1
     while depth < max(2 * d, 8):
-        cells = approximate(matrix, digits, depth).points.astype(float)
+        cells = approximate(system, system.digits, depth).points.astype(float)
         if len(cells) >= 2 and np.linalg.matrix_rank(cells - cells[0]) == d:
             break
         depth += 1
@@ -215,22 +215,22 @@ def box_certificate(matrix, digits):
     so they tile B, B satisfies the set equation and is the attractor G.
     Any other system is refused with None; that is no verdict on G.
     """
-    m = as_int_matrix(matrix)
-    shifts, integral = _freeze_shifts(digits, len(m))
-    if not integral:
-        raise ValueError("box certificates require integer digits")
-    return _box_certificate(m, shifts)
+    system = System.of(matrix, digits)
+    if not system.is_integer:
+        raise ValueError("box certificates require integer data")
+    return _box_certificate(system)
 
 
 @lru_cache(maxsize=256)
-def _box_certificate(m, digits):
+def _box_certificate(system):
     try:
-        ms = monomial_structure(m)
+        ms = monomial_structure(system)
     except NotMonomialError:
         return None
+    digits = system.digits
     if len(digits) != math.prod(abs(c) for c in ms.multipliers):
         return None
-    d = len(m)
+    d = system.dim
     perm, mult = ms.permutation, ms.multipliers
     low = [min(a[i] for a in digits) for i in range(d)]
     high = [max(a[i] for a in digits) for i in range(d)]
@@ -244,7 +244,7 @@ def _box_certificate(m, digits):
                                   for j, c in enumerate(mult)])
     # Integer digit gaps reach a width w exactly when they reach ceil(w).
     gaps = _int_array([-(-w.numerator // w.denominator) for w in widths])
-    pts = _int_array(digits)
+    pts = _int_array(system.array)
     for k in range(len(pts) - 1):
         if not (np.abs(pts[k + 1:] - pts[k]) >= gaps).any(axis=1).all():
             return None
@@ -372,7 +372,8 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
         raise ValueError("parallelepiped detection requires integer data")
     _check_tol(tol)
     d = approx.dim
-    box = box_certificate(approx.matrix, approx.shifts)
+    system = approx.system
+    box = _box_certificate(system)
     if box is not None:
         widths = [b - a for a, b in zip(*box)]
         vol = float(math.prod(widths))
@@ -387,9 +388,8 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
     if len(rel) < 2 or np.linalg.matrix_rank(rel - rel[0]) < d:
         raise DegeneratePointCloudError(
             "cells span a lower-dimensional subspace; the attractor is degenerate")
-    det = abs(lattice.det(approx.matrix))
-    scale = det ** approx.depth
-    cover = _unit_cell_cover(approx.matrix, approx.shifts, None)
+    scale = abs(system.det) ** approx.depth
+    cover = _unit_cell_cover(system, None)
     # The touched cells (cells + cover) as a dense grid over their key box, which
     # bounds the keys, so they narrow to int64 whatever their dtype.
     keys, _, span = _cover_keys(approx.points, cover)

@@ -114,24 +114,21 @@ def _integral(x):
 
 
 def _int_system(matrix, digits):
-    """A square integer matrix and integer digit vectors of its dimension, as lists
-    and tuples; a scalar digit is a vector of length one.  InputError otherwise."""
+    """The integer System of JSON values, and its digits in the given order as int
+    tuples; a scalar digit is a vector of length one.  InputError otherwise."""
     try:
-        matrix = [[_integral(x) for x in row] for row in matrix]
-        lattice.as_int_matrix(matrix)
-        digits = [tuple(v) if hasattr(v, "__len__") else (v,) for v in digits]
-        digits = [tuple(_integral(x) for x in v) for v in digits]
-        if any(len(v) != len(matrix) for v in digits):
-            raise ValueError(f"digits must have the matrix dimension {len(matrix)}")
-        if any(abs(x) > lattice.MAX_ENTRY for v in digits for x in v):
-            raise OverflowError("digit entries exceed the 64-bit input bound")
+        digits = [v if hasattr(v, "__len__") else (v,) for v in digits]
+        system = lattice.System.of(matrix, digits)
+        if not system.is_integer:
+            raise ValueError("entries must be integers")
     except (TypeError, ValueError) as exc:
         raise InputError(f"matrix/digits must be integer arrays: {exc}") from exc
-    return matrix, digits
+    return system, [tuple(map(int, v)) for v in digits]
 
 
 def _matrix_digits_from(args, spec=None):
-    """Matrix and digit/shift set from --spec plus inline flags (flags win).
+    """System, digits in the given order, and params, from --spec plus inline
+    flags (flags win).
 
     `spec` is the --spec file's content when the caller has read it already.
     """
@@ -199,18 +196,18 @@ def _boxform_from(args, spec=None):
 # ---------------------------------------------------------------------------
 
 def cmd_tile_check(args) -> int:
-    matrix, digits, params = _matrix_digits_from(args)
+    system, digits, params = _matrix_digits_from(args)
     depth = _positive(args, params, "depth", 10)
-    if not lattice.validate_digits(matrix, digits):
+    if not lattice.validate_digits(system, digits):
         raise InputError("digits are not a residue system for the matrix")
     # measure_upper and shift_cover_layers read the same cached report.
-    report = attractor._tile_report_cached(lattice.as_int_matrix(matrix), tuple(digits))
-    mu = attractor.measure_upper(matrix, digits, depth)
-    approx = attractor.approximate(matrix, digits, depth)
+    report = attractor._tile_report(system)
+    mu = attractor.measure_upper(system, digits, depth)
+    approx = attractor.approximate(system, digits, depth)
     hist = attractor.shift_cover_layers(approx)
     _emit({
         "kind": "tile_check",
-        "matrix": matrix,
+        "matrix": [list(r) for r in system.matrix],
         "digits": [list(v) for v in digits],
         "modulus": report.modulus,
         "is_tile": report.is_tile,
@@ -226,12 +223,12 @@ def cmd_tile_check(args) -> int:
 
 
 def cmd_tile_measure(args) -> int:
-    matrix, digits, params = _matrix_digits_from(args)
+    system, digits, params = _matrix_digits_from(args)
     depth = _positive(args, params, "depth", 10)
-    mu = attractor.measure_upper(matrix, digits, depth)
+    mu = attractor.measure_upper(system, digits, depth)
     _emit({
         "kind": "tile_measure",
-        "matrix": matrix,
+        "matrix": [list(r) for r in system.matrix],
         "digits": [list(v) for v in digits],
         "depth": depth,
         "measure_upper": str(mu),
@@ -263,12 +260,12 @@ def _blank_image(width, height):
 
 
 def cmd_tile_render(args) -> int:
-    matrix, shifts, params = _matrix_digits_from(args)
+    system, shifts, params = _matrix_digits_from(args)
     depth = _positive(args, params, "depth", 12)
     resolution = _positive(args, params, "resolution", 64)
-    if len(matrix) != 2:
+    if system.dim != 2:
         raise InputError("render supports two-dimensional systems")
-    approx = attractor.approximate(matrix, shifts, depth)
+    approx = attractor.approximate(system, shifts, depth)
     gx, gy = attractor.grid_indices(approx, resolution, (0, 0)).astype(np.int64)
     if args.tiling:
         window = _parse_window(args.tiling)
@@ -282,7 +279,7 @@ def cmd_tile_render(args) -> int:
         # Translates whose bounding box meets the window, in sorted order, give
         # the palette index; only those putting a cell pixel g in the window
         # paint: t0 - g // R + k for 0 <= k < t1 - t0 on each axis.
-        lo_b, hi_b = attractor.bounding_box(matrix, shifts)
+        lo_b, hi_b = attractor.bounding_box(system, shifts)
         xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
         ys = range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
         units = attractor._unique_rows(np.stack([gx, gy], axis=1) // resolution)[0]
@@ -354,20 +351,20 @@ def cmd_box_detect(args) -> int:
     spec = _load_spec(args.spec) if getattr(args, "spec", None) else None
     if getattr(args, "p", None) or (spec or {}).get("kind") == "boxform":
         form = _boxform_from(args, spec)
-        matrix = boxtile.build_cyclic_matrix(form)
         digits = boxtile.box_digits(form)
+        system = lattice.System.of(boxtile.build_cyclic_matrix(form), digits)
     else:
-        matrix, digits, _ = _matrix_digits_from(args, spec)
+        system, digits, _ = _matrix_digits_from(args, spec)
     tol = boxtile._check_tol(args.tol if args.tol is not None else 0.05)
-    depth = _positive(args, {}, "depth") or boxtile.suggested_depth(matrix, digits)
-    approx = attractor.approximate(matrix, digits, depth)
+    depth = _positive(args, {}, "depth") or boxtile.suggested_depth(system, digits)
+    approx = attractor.approximate(system, digits, depth)
     try:
         report = boxtile.is_parallelepiped(approx, tol=tol)
     except boxtile.DegeneratePointCloudError as exc:
         raise InputError(f"degenerate point cloud: {exc}") from exc
     _emit({
         "kind": "box_detect",
-        "matrix": [list(r) for r in matrix],
+        "matrix": [list(r) for r in system.matrix],
         "digits": [list(v) for v in digits],
         "depth": depth,
         "tol": tol,
@@ -386,38 +383,38 @@ def cmd_box_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_haar_build(args) -> int:
-    matrix, digits, _ = _matrix_digits_from(args)
-    system = haar.build_wavelets(matrix, digits)
+    system, digits, _ = _matrix_digits_from(args)
+    wavelets = haar.build_wavelets(system, digits)
     _emit({
         "kind": "haar_system",
-        "matrix": matrix,
+        "matrix": [list(r) for r in system.matrix],
         "digits": [list(v) for v in digits],
-        "generator_count": system.generator_count,
-        "basis": [list(v) for v in system.basis.vectors],
-        "pieces": [[[k, c] for k, c in row] for row in system.pieces],
+        "generator_count": wavelets.generator_count,
+        "basis": [list(v) for v in wavelets.basis.vectors],
+        "pieces": [[[k, c] for k, c in row] for row in wavelets.pieces],
     })
     return EXIT_OK
 
 
 def cmd_haar_gram(args) -> int:
-    matrix, digits, params = _matrix_digits_from(args)
-    system = haar.build_wavelets(matrix, digits)
+    system, digits, params = _matrix_digits_from(args)
+    wavelets = haar.build_wavelets(system, digits)
     method = args.method
     if method == "auto":
-        method = "exact" if haar._is_box_system(system) else "raster"
+        method = "exact" if haar._is_box_system(wavelets) else "raster"
     if method == "exact":
-        gram = np.array(haar.exact_gram(system), dtype=float)
+        gram = np.array(haar.exact_gram(wavelets), dtype=float)
         edge_fraction = 0.0
     else:
         resolution = _positive(args, params, "resolution", 64)
         depth = _positive(args, params, "depth", 12)
-        gram, edge_fraction = haar.raster_gram(system, resolution, depth)
-    n = system.generator_count
+        gram, edge_fraction = haar.raster_gram(wavelets, resolution, depth)
+    n = wavelets.generator_count
     dev = np.abs(gram - np.eye(n))
     off = float(np.max(dev - np.diag(np.diag(dev)))) if n > 1 else 0.0
     _emit({
         "kind": "haar_gram",
-        "matrix": matrix,
+        "matrix": [list(r) for r in system.matrix],
         "digits": [list(v) for v in digits],
         "method": method,
         "generator_count": n,
@@ -505,16 +502,16 @@ def cmd_oned_lset(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_product(args) -> int:
-    m1, s1 = _int_system(_parse_json_field(args.matrix1, "--matrix1"),
-                         _parse_json_field(args.shifts1, "--shifts1"))
-    m2, s2 = _int_system(_parse_json_field(args.matrix2, "--matrix2"),
-                         _parse_json_field(args.shifts2, "--shifts2"))
-    matrix, shifts = boxtile.tensor_product(m1, s1, m2, s2)
+    system1, s1 = _int_system(_parse_json_field(args.matrix1, "--matrix1"),
+                              _parse_json_field(args.shifts1, "--shifts1"))
+    system2, s2 = _int_system(_parse_json_field(args.matrix2, "--matrix2"),
+                              _parse_json_field(args.shifts2, "--shifts2"))
+    matrix, shifts = boxtile.tensor_product(system1.matrix, s1, system2.matrix, s2)
     _emit({
         "kind": "product",
         "matrix": [list(r) for r in matrix],
         "shifts": [list(v) for v in shifts],
-        "dims": [len(m1), len(m2)],
+        "dims": [system1.dim, system2.dim],
     })
     return EXIT_OK
 

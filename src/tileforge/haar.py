@@ -28,11 +28,11 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .attractor import (approximate, bounding_box, unit_cell_cover, _check_budget,
-                        _cover_keys, _grid, _has_cells, _int_array, _int_product,
-                        _tile_report_cached, _unravel)
-from .boxtile import box_certificate
-from .lattice import as_int_matrix, mat_pow
+from .attractor import (approximate, bounding_box, _check_budget, _cover_keys, _grid,
+                        _has_cells, _int_array, _int_product, _tile_report, _unit_cell_cover,
+                        _unravel)
+from .boxtile import _box_certificate
+from .lattice import System, mat_pow
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,13 @@ def hyperplane_basis(m: int) -> HyperplaneBasis:
 class HaarSystem:
     """A tile system plus the piecewise-constant wavelet generators.
 
-    pieces[s] lists, for generator s+1, one (digit index k, coefficient)
-    pair per digit; the coefficient is sqrt(m) * (e_{s+1})_{k+1}.  The
-    support of every generator is the tile itself.
+    `digits` keeps the caller's order, which numbers the pieces: pieces[s]
+    lists, for generator s+1, one (digit index k, coefficient) pair per
+    digit; the coefficient is sqrt(m) * (e_{s+1})_{k+1}.  The support of
+    every generator is the tile itself.
     """
 
-    matrix: tuple
+    system: System
     digits: tuple
     basis: HyperplaneBasis
     pieces: tuple
@@ -97,10 +98,10 @@ class HaarSystem:
 
 def build_wavelets(matrix, digits, basis: Optional[HyperplaneBasis] = None) -> HaarSystem:
     """Assemble the wavelet system for a validated digit system."""
-    m = as_int_matrix(matrix)
-    digits = tuple(tuple(int(x) for x in v) for v in digits)
-    if not lattice.validate_digits(m, digits):
+    system = System.of(matrix, digits)
+    if not lattice.validate_digits(system, digits):
         raise ValueError("digits must form a residue system for the matrix")
+    digits = tuple(tuple(int(x) for x in v) for v in digits)
     count = len(digits)
     if basis is None:
         basis = hyperplane_basis(count)
@@ -111,7 +112,7 @@ def build_wavelets(matrix, digits, basis: Optional[HyperplaneBasis] = None) -> H
         tuple((k, root_m * basis.vectors[s][k]) for k in range(count))
         for s in range(count - 1)
     )
-    return HaarSystem(matrix=m, digits=digits, basis=basis, pieces=pieces)
+    return HaarSystem(system=system, digits=digits, basis=basis, pieces=pieces)
 
 
 def wavelet_mean(system: HaarSystem, s: int) -> Fraction:
@@ -134,7 +135,7 @@ def wavelet_mean(system: HaarSystem, s: int) -> Fraction:
 
 def _is_box_system(system: HaarSystem) -> bool:
     """Whether the attractor is a certified box of volume one, a box tile."""
-    box = box_certificate(system.matrix, system.digits)
+    box = _box_certificate(system.system)
     return box is not None and math.prod(b - a for a, b in zip(*box)) == 1
 
 
@@ -176,24 +177,25 @@ def exact_gram(system: HaarSystem):
 
 
 @lru_cache(maxsize=16)
-def _piece_tables(matrix, digits, depth: int):
+def _piece_tables(system, depth: int):
     """_cover_keys tables of the expansion cells at depths K and K+1."""
-    return tuple(_cover_keys(approximate(matrix, digits, k).points, [(0,) * len(matrix)])
+    return tuple(_cover_keys(approximate(system, system.digits, k).points, [(0,) * system.dim])
                  for k in (depth, depth + 1))
 
 
-def _pieces(matrix, digits, depth: int, num, den: int):
+def _pieces(system, digits, depth: int, num, den: int):
     """Piece index of each point num / den, or -1 outside the stand-in.
 
-    `num` is an (n, d) integer array.  The depth-(K+1) expansion cells
+    `system` is a System and `digits` its digits in piece order; `num` is an
+    (n, d) integer array.  The depth-(K+1) expansion cells
     partition a measure-one stand-in for the tile into disjoint floor-cells:
     x is claimed iff floor(M^(K+1) x) is an expansion cell, and its piece is
     the first expansion digit, the first d_k with cell - M^K d_k among the
     depth-K cells.  Exact integer arithmetic; no membership ambiguity.
     """
-    coarse, fine = _piece_tables(matrix, digits, depth)
-    mk = mat_pow(matrix, depth)
-    cells = _int_product(num, lattice.mat_mul(mk, matrix)) // _int_array(den)
+    coarse, fine = _piece_tables(system, depth)
+    mk = mat_pow(system.matrix, depth)
+    cells = _int_product(num, lattice.mat_mul(mk, system.matrix)) // _int_array(den)
     pieces = np.full(len(cells), -1, dtype=np.int32)
     open_ = np.flatnonzero(_has_cells(fine, cells))
     for k, lead in enumerate(_int_product(digits, mk)):
@@ -215,11 +217,11 @@ def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
     if not 1 <= s <= system.generator_count:
         raise ValueError(f"generator index must be in 1..{system.generator_count}")
     fr = [Fraction(v) for v in x]
-    if len(fr) != len(system.matrix):
+    if len(fr) != system.system.dim:
         raise ValueError("point has wrong dimension")
     den = math.lcm(*(f.denominator for f in fr))
     num = np.array([[int(f * den) for f in fr]], dtype=object)
-    piece = int(_pieces(system.matrix, system.digits, depth, num, den)[0])
+    piece = int(_pieces(system.system, system.digits, depth, num, den)[0])
     return 0.0 if piece < 0 else system.pieces[s - 1][piece][1]
 
 
@@ -232,13 +234,13 @@ def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    lo, hi = bounding_box(system.matrix, system.digits)
-    d = len(system.matrix)
+    lo, hi = bounding_box(system.system, system.digits)
+    d = system.system.dim
     counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
     _check_budget("the raster grid", math.prod(counts))
     den = 2 * resolution
     axes = [[int(lo_i * den + 2 * j + 1) for j in range(c)] for lo_i, c in zip(lo, counts)]
-    return (_pieces(system.matrix, system.digits, depth, _grid(axes), den).reshape(counts),
+    return (_pieces(system.system, system.digits, depth, _grid(axes), den).reshape(counts),
             float(resolution) ** (-d))
 
 
@@ -309,13 +311,13 @@ def shift_orthonormality(matrix, digits, window: int = 1, depth: int = 12) -> fl
     k != 0.  Systems covering in several layers fall back to the unit-cell
     cover, whose overlap counts stay bounded away from zero.
     """
-    m, d = as_int_matrix(matrix), len(matrix)
-    digits_t = tuple(tuple(int(x) for x in v) for v in digits)
-    tile = _tile_report_cached(m, digits_t).is_tile
-    cover = [(0,) * d] if tile else unit_cell_cover(m, digits_t)
-    table = _cover_keys(approximate(m, digits_t, depth).points, cover)
-    modulus = abs(lattice.det(m)) ** depth
-    mk = mat_pow(m, depth)
+    system = System.of(matrix, digits)
+    d = system.dim
+    tile = _tile_report(system).is_tile
+    cover = [(0,) * d] if tile else _unit_cell_cover(system, None)
+    table = _cover_keys(approximate(system, system.digits, depth).points, cover)
+    modulus = abs(system.det) ** depth
+    mk = mat_pow(system.matrix, depth)
     cells = _unravel(*table)
     worst = 0.0
     for k in product(*[range(-window, window + 1) for _ in range(d)]):

@@ -3,14 +3,18 @@
 A dilation system is a square integer matrix M (all eigenvalues strictly
 outside the unit circle) together with a set of integer "digits", one
 representative per class of Z^d / M Z^d, always containing the zero vector.
-Everything in this module that feeds a yes/no decision is computed exactly
-over the integers or rationals; floating point only enters the eigenvalue
-test, guarded by a conservative tolerance.
+Raw input is normalized once, by System.of, into a hashable System that
+every memo in the package keys on.  Everything in this module that feeds a
+yes/no decision is computed exactly over the integers or rationals;
+floating point only enters the eigenvalue test, guarded by a conservative
+tolerance.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import numbers
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -27,42 +31,154 @@ class SingularMatrixError(ValueError):
     """Matrix has determinant zero where an invertible one is required."""
 
 
-def as_int_matrix(entries):
-    """Validate and freeze a square integer matrix as a tuple of tuples.
+def _freeze(rows, what):
+    """Rows as tuples of ints when every entry is integral, else of floats, and
+    whether they are integral.  Non-numbers (booleans and strings too) raise
+    ValueError, integral entries past MAX_ENTRY OverflowError."""
+    rows = [tuple(r) for r in rows]
+    flat = [x for r in rows for x in r]
+    if not all(type(x) is int for x in flat):
+        for x in flat:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{what} entries must be numbers, got {x!r}")
+        if not all(isinstance(x, numbers.Integral) or float(x).is_integer() for x in flat):
+            return tuple(tuple(float(x) for x in r) for r in rows), False
+        rows = [tuple(int(x) for x in r) for r in rows]
+        flat = [x for r in rows for x in r]
+    if flat and max(max(flat), -min(flat)) > MAX_ENTRY:
+        raise OverflowError(f"{what} entry exceeds the 64-bit input bound")
+    return tuple(rows), True
 
-    Accepts any nested sequence (lists, tuples, numpy arrays).  Rejects
-    non-square shapes, non-integer entries and entries outside the 64-bit
-    range.
+
+@dataclass(frozen=True)
+class System:
+    """A square matrix and a digit set, normalized once; the key of every memo.
+
+    `matrix` is a tuple of rows, `digits` the distinct digits in sorted order
+    (none for a bare matrix); each holds ints when all its entries are
+    integral, else floats, and `is_integer` when both do.  Build one with
+    System.of.  The hash and the facts below are computed once per system.
     """
-    rows = [tuple(row) for row in entries]
-    d = len(rows)
-    if d == 0:
-        raise ValueError("matrix must have at least one row")
-    for row in rows:
-        if len(row) != d:
+
+    matrix: tuple
+    digits: tuple
+    is_integer: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.matrix, self.digits)))
+
+    def __hash__(self):
+        return self._hash
+
+    @classmethod
+    def of(cls, matrix, digits=None) -> "System":
+        """The System of a raw matrix and digit set (none: of the bare matrix);
+        a System is returned unchanged.  Integral floats become ints; see
+        _freeze for refused entries, and a non-square matrix, digits of
+        another dimension or an empty digit set raise ValueError."""
+        if isinstance(matrix, System):
+            return matrix
+        rows, int_matrix = _freeze(matrix, "matrix")
+        d = len(rows)
+        if d == 0:
+            raise ValueError("matrix must have at least one row")
+        if any(len(r) != d for r in rows):
             raise ValueError("matrix must be square")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"matrix entries must be integers, got {x!r}")
-            if abs(int(x)) > MAX_ENTRY:
-                raise OverflowError(f"matrix entry {x} exceeds 64-bit input bound")
-    return tuple(tuple(int(x) for x in row) for row in rows)
+        vectors, int_digits = _freeze(() if digits is None else digits, "digit")
+        if digits is not None and not vectors:
+            raise ValueError("digit set must be nonempty")
+        for v in vectors:
+            if len(v) != d:
+                raise ValueError(f"digit {v!r} has wrong dimension, expected {d}")
+        return _canonical(cls(rows, tuple(sorted(set(vectors))), int_matrix and int_digits))
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
+    @cached_property
+    def det(self) -> int:
+        """Exact determinant of an integer matrix."""
+        return _bareiss(self.matrix)
+
+    @cached_property
+    def inverse(self):
+        """Integer P and integer q > 0 with M^-1 = P / q: adj(M) / det(M),
+        the sign of det folded into P."""
+        d, m, n = self.det, self.matrix, self.dim
+        if d == 0:
+            raise SingularMatrixError("matrix is singular")
+        sign = 1 if d > 0 else -1
+        if n == 1:
+            return ((sign,),), abs(d)
+        return tuple(
+            tuple(sign * (-1) ** (i + j) * _bareiss([row[:i] + row[i + 1:]
+                                                     for r, row in enumerate(m) if r != j])
+                  for j in range(n))
+            for i in range(n)), abs(d)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The digits as a read-only (n, d) array: int64 for integer digits
+        (they lie within the input bound), else float64."""
+        exact = not self.digits or isinstance(self.digits[0][0], int)
+        a = np.array(self.digits, dtype=np.int64 if exact else float).reshape(-1, self.dim)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def is_residue_system(self) -> bool:
+        """Whether the digits are integral, contain zero and hold one
+        representative of every class of Z^d / M Z^d."""
+        if not self.is_integer or self.det == 0:
+            return False
+        p, q = self.inverse
+        if len(self.digits) != q or (0,) * self.dim not in self.digits:
+            return False
+        return len({_residue(self.matrix, p, q, v) for v in self.digits}) == q
+
+    @cached_property
+    def is_expanding(self) -> bool:
+        """True iff every eigenvalue of M has modulus > 1 + EIG_TOL.
+
+        An integer M with all |lambda| > 1 has |det| = prod |lambda| >= 2.
+        That is checked exactly first, so floating point can never accept a
+        non-expanding integer matrix with unit determinant.
+        """
+        if isinstance(self.matrix[0][0], int) and abs(self.det) < 2:
+            return False
+        return _eigenvalues_expand(self.matrix)
 
 
-def as_int_vector(v, dim=None):
-    """Freeze an integer vector as a tuple, optionally checking its length."""
-    vec = tuple(int(x) for x in v)
-    for x, raw in zip(vec, v):
-        if isinstance(raw, float) and raw != x:
-            raise ValueError(f"vector entry {raw!r} is not an integer")
-    if dim is not None and len(vec) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
-    return vec
+@lru_cache(maxsize=256)
+def _canonical(system):
+    """The first System built equal to `system`, so equal inputs share its facts."""
+    return system
 
 
-def det(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in as_int_matrix(matrix)]
+def _eigenvalues_expand(matrix) -> bool:
+    """Floating-point test: every eigenvalue has modulus > 1 + EIG_TOL."""
+    eigvals = np.linalg.eigvals(np.array(matrix, dtype=float))
+    return bool(np.min(np.abs(eigvals)) > 1.0 + EIG_TOL)
+
+
+def _integer_system(matrix) -> System:
+    """System.of(matrix), or ValueError unless its matrix is integral."""
+    system = System.of(matrix)
+    if not isinstance(system.matrix[0][0], int):
+        raise ValueError("matrix entries must be integers")
+    return system
+
+
+def as_int_matrix(entries):
+    """Validate and freeze a square integer matrix (any nested sequence) as a
+    tuple of tuples, by the rules of System.of; ValueError for a real one."""
+    return _integer_system(entries).matrix
+
+
+def _bareiss(rows) -> int:
+    """Exact determinant of integer rows by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in rows]
     n = len(m)
     sign = 1
     prev = 1
@@ -82,6 +198,11 @@ def det(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def det(matrix) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    return _integer_system(matrix).det
 
 
 def mat_vec(matrix, v):
@@ -116,44 +237,20 @@ def inverse_power(matrix, k: int):
     M^-1 = adj(M) / det(M), so M^-k = adj^k / det^k; the sign of det^k is
     folded into P.  The exact maps by M^-k in the package (rasters, covers,
     bounding boxes, residues) use this pair, so floors and comparisons of
-    M^-k z stay in plain integers.  Memoised on the frozen matrix and k.
+    M^-k z stay in plain integers.  Memoised on the System and k.
     """
-    return _inverse_power(as_int_matrix(matrix), k)
+    return _inverse_power(_integer_system(matrix), k)
 
 
 @lru_cache(maxsize=256)
-def _inverse_power(m, k):
-    n = len(m)
-    d = det(m)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    if n == 1:
-        adj = ((1,),)
-    else:
-        adj = tuple(
-            tuple((-1) ** (i + j) * det([row[:i] + row[i + 1:]
-                                         for r, row in enumerate(m) if r != j])
-                  for j in range(n))
-            for i in range(n))
-    p = mat_pow(adj, k)
-    if d < 0 and k % 2:
-        p = tuple(tuple(-x for x in row) for row in p)
-    return p, abs(d) ** k
+def _inverse_power(system, k):
+    p, q = system.inverse
+    return mat_pow(p, k), q ** k
 
 
 def is_expanding(matrix) -> bool:
-    """True iff every eigenvalue of M has modulus > 1 + EIG_TOL.
-
-    An integer matrix with all |lambda| > 1 has |det| = prod |lambda| > 1,
-    hence |det| >= 2; that necessary condition is checked exactly first, so
-    floating point can only make the test more conservative, never accept a
-    non-expanding matrix with unit determinant.
-    """
-    m = as_int_matrix(matrix)
-    if abs(det(m)) < 2:
-        return False
-    eigvals = np.linalg.eigvals(np.array(m, dtype=float))
-    return bool(np.min(np.abs(eigvals)) > 1.0 + EIG_TOL)
+    """True iff every eigenvalue of the integer matrix M has modulus > 1 + EIG_TOL."""
+    return _integer_system(matrix).is_expanding
 
 
 def _residue(m, p, q, v):
@@ -170,9 +267,11 @@ def residue_of(matrix, v):
     fundamental parallelepiped M [0,1)^d.  Computed exactly: z_i =
     floor((M^{-1} v)_i).
     """
-    m = as_int_matrix(matrix)
-    p, q = inverse_power(m, 1)
-    return _residue(m, p, q, as_int_vector(v, dim=len(m)))
+    system = _integer_system(matrix)
+    (vec,), integral = _freeze([v], "vector")
+    if not integral or len(vec) != system.dim:
+        raise ValueError(f"expected an integer vector of length {system.dim}, got {v!r}")
+    return _residue(system.matrix, *system.inverse, vec)
 
 
 def residue_system(matrix):
@@ -181,9 +280,9 @@ def residue_system(matrix):
     These are pairwise inequivalent modulo M Z^d, include the zero vector,
     and form the canonical digit set of M.
     """
-    m = as_int_matrix(matrix)
-    d = len(m)
-    p, q = inverse_power(m, 1)
+    system = _integer_system(matrix)
+    m, d = system.matrix, system.dim
+    p, q = system.inverse
     # Bounding box of the parallelepiped M [0,1)^d from its corners.
     corners = [mat_vec(m, c) for c in product((0, 1), repeat=d)]
     lo = [min(c[i] for c in corners) for i in range(d)]
@@ -197,24 +296,18 @@ def residue_system(matrix):
     return tuple(digits)
 
 
-def validate_digits(matrix, digits) -> bool:
+def validate_digits(matrix, digits=None) -> bool:
     """True iff digits are a full residue system for M containing zero.
 
-    Checks cardinality |D| = |det M|, membership of the zero vector, and
-    pairwise inequivalence modulo M Z^d.
+    Checks cardinality |D| = |det M| (repeated digits count, so they fail
+    it), membership of the zero vector, and pairwise inequivalence modulo
+    M Z^d.  Malformed digits give False; a malformed or real matrix raises.
+    With a System for `matrix`, `digits` (when given) only supplies the count.
     """
-    m = as_int_matrix(matrix)
-    d = len(m)
-    if det(m) == 0:
-        return False
     try:
-        ds = [as_int_vector(v, dim=d) for v in digits]
-    except ValueError:
+        system = System.of(matrix, digits)
+    except (ValueError, OverflowError):
+        _integer_system(matrix)
         return False
-    p, q = inverse_power(m, 1)
-    if len(ds) != q:
-        return False
-    if tuple([0] * d) not in ds:
-        return False
-    residues = {_residue(m, p, q, v) for v in ds}
-    return len(residues) == len(ds)
+    _integer_system(system)
+    return system.is_residue_system and (digits is None or len(digits) == len(system.digits))

@@ -27,7 +27,7 @@ from tileforge.attractor import (
     unit_cell_cover,
 )
 from tileforge.boxtile import BoxForm, box_digits, build_cyclic_matrix
-from tileforge.lattice import det, inverse_power, mat_mul, mat_vec, residue_system
+from tileforge.lattice import System, det, inverse_power, mat_mul, mat_vec, residue_system
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -61,8 +61,8 @@ def test_approximate_rejects_non_expanding():
 
 def test_approximate_checks_expansion_once_per_system(monkeypatch):
     calls = []
-    real = attractor._is_expanding_any
-    monkeypatch.setattr(attractor, "_is_expanding_any",
+    real = lattice._eigenvalues_expand
+    monkeypatch.setattr(lattice, "_eigenvalues_expand",
                         lambda matrix: calls.append(matrix) or real(matrix))
     # A system no other test builds, so its levels start uncached.
     m, digits = ((0, 7), (-1, 1)), ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0))
@@ -75,6 +75,17 @@ def test_approximate_checks_expansion_once_per_system(monkeypatch):
             approximate([[1, 0], [0, 2]], [(0, 0), (1, 0)], 3, max_cells=1)
 
 
+def test_equal_inputs_share_one_system_and_its_memos():
+    # Reordered, repeated and integral-float input names the same System, so
+    # it reads the levels the first call built.
+    m, digits = ((0, 5), (-1, 2)), [(k, 0) for k in range(5)]
+    first = approximate(m, digits, 3)
+    misses = attractor._level.cache_info().misses
+    again = approximate([[0.0, 5], [-1, 2.0]], [*reversed(digits), (0.0, 0)], 3)
+    assert attractor._level.cache_info().misses == misses
+    assert again.system is first.system and again == first
+
+
 def test_approximate_resource_cap():
     with pytest.raises(ResourceLimitError):
         approximate([[2]], [(0,), (1,)], 40, max_cells=1000)
@@ -84,6 +95,13 @@ def test_approximate_budget_holds_for_cached_levels():
     approximate([[2]], [(0,), (5,)], 10)
     with pytest.raises(ResourceLimitError):
         approximate([[2]], [(0,), (5,)], 10, max_cells=10)
+
+
+def test_approximate_one_shift_past_the_budget_depth():
+    # One shift keeps one cell per level, so the per-level check never fires.
+    with pytest.raises(ResourceLimitError):
+        approximate([[2]], [(3,)], 10 ** 12, max_cells=300)
+    assert len(approximate([[2]], [(3,)], 300, max_cells=300).cells) == 1
 
 
 def test_approximate_concurrent_depths():
@@ -419,7 +437,7 @@ def _box_dtypes(monkeypatch, matrix, shifts):
     dtypes = []
     real = attractor._int_dtype
     monkeypatch.setattr(attractor, "_int_dtype", lambda bound: dtypes.append(real(bound)) or dtypes[-1])
-    return attractor._bounding_box_exact.__wrapped__(matrix, shifts), dtypes
+    return attractor._bounding_box_exact.__wrapped__(System.of(matrix, shifts)), dtypes
 
 
 #: Its bound max ||P^j||_inf * max|s| is 1.9e18 with the 12 residue digits
@@ -837,6 +855,42 @@ def test_residual_real_shifts_small():
 def test_residual_needs_depth_two():
     with pytest.raises(ValueError):
         self_similarity_residual(approximate([[2]], [(0,), (1,)], 1))
+
+
+def _set_residual(approx):
+    """The residual by Python sets of cell tuples, the reference formula."""
+    side1 = set(approx.cells)
+    prev = approximate(approx.matrix, approx.shifts, approx.depth - 1)
+    d = approx.dim
+    if approx.is_integer:
+        mk = lattice.mat_pow(approx.matrix, approx.depth - 1)
+        lead = [mat_vec(mk, s) for s in approx.shifts]
+        side2 = {tuple(z[i] + t[i] for i in range(d)) for z in prev.cells for t in lead}
+    else:
+        mk = np.linalg.matrix_power(np.array(approx.matrix, float), approx.depth - 1)
+        lead = [mk @ np.array(s, float) for s in approx.shifts]
+        side2 = {tuple(round(z[i] + t[i], 12) for i in range(d))
+                 for z in prev.cells for t in lead}
+    return len(side1 ^ side2) / len(side1 | side2)
+
+
+def _altered(approx, extra):
+    """`approx` with every seventh cell left out and the rows `extra` added."""
+    kept = np.delete(approx.points, np.s_[::7], axis=0)
+    points = np.array(sorted(set(map(tuple, kept.tolist())) | set(extra)), dtype=object)
+    return attractor.AttractorApprox(matrix=approx.matrix, shifts=approx.shifts,
+                                     depth=approx.depth, points=points, is_integer=True)
+
+
+def test_residual_matches_set_formula():
+    dragon = approximate(DRAGON_M, DRAGON_D, 12)
+    wide = approximate([[2]], [(0,), (2 ** 62,)], 5)
+    cases = [dragon, _altered(dragon, [(1000, 1000), (-3, 5)]), wide,
+             _altered(wide, [(-1,), (2 ** 70,)]),
+             approximate(DRAGON_M, ((0.1, 0.2), (1.1, -0.3), (0.0, 0.7)), 6)]
+    for approx in cases:
+        assert self_similarity_residual(approx) == _set_residual(approx)
+    assert self_similarity_residual(cases[1]) > 0 and self_similarity_residual(cases[3]) > 0
 
 
 def test_layers_unit_interval_all_one():

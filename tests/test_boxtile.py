@@ -25,6 +25,7 @@ from tileforge.boxtile import (
     tensor_product,
 )
 from tileforge.cli import main as cli_main
+from tileforge.lattice import System
 
 
 def all_forms(max_n, max_prod):
@@ -271,7 +272,7 @@ def test_certified_box_lies_in_bounding_box(form, c):
     # within the tail of the exact extremes
     m, digits = _scaled_form(form, c)
     lo, hi = box_certificate(m, digits)
-    blo, bhi = attractor._bounding_box_exact(m, tuple(sorted(digits)))
+    blo, bhi = attractor._bounding_box_exact(System.of(m, digits))
     for a, b, ba, bb in zip(lo, hi, blo, bhi):
         assert ba <= a <= ba + Fraction(1, 32)
         assert bb - Fraction(1, 32) <= b <= bb

@@ -675,21 +675,46 @@ _JSON = st.recursive(
     max_leaves=8)
 
 
+#: Commands that take their system from inline flags, and the flags each takes
+#: beyond --matrix and --digits.
+_FLAG_COMMANDS = {
+    "tile render": ("shifts", "depth", "resolution", "tiling"),
+    "haar build": (),
+    "haar gram": ("method", "resolution", "depth"),
+}
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["tile check", "tile measure", "box build", "box detect",
-                                "product"]),
+                                "product", *_FLAG_COMMANDS]),
        values=st.fixed_dictionaries({
            "matrix": st.one_of(_JSON, st.just([[2]]), st.just([[1, 1], [-1, 1]])),
            "digits": st.one_of(_JSON, st.just([[0], [1]]), st.just([[0, 0], [1, 0]])),
            "params": st.one_of(_JSON, st.fixed_dictionaries({"depth": _JSON})),
            "p": st.one_of(_JSON, st.lists(st.integers(-1, 3), max_size=3)),
-           "sign": _JSON}))
-def test_cli_never_raises_on_json_values(command, values, tmp_path, capsys, monkeypatch):
+           "sign": _JSON,
+           "shifts": st.one_of(_JSON, st.just([[0, 0], [1, 0]])),
+           "depth": st.integers(-2, 12) | st.integers(),
+           "resolution": st.integers(-2, 12) | st.integers(),
+           "tiling": st.text(alphabet="-0123:,", max_size=9) | st.text(max_size=4),
+           "method": st.sampled_from(["auto", "exact", "raster"])}),
+       present=st.sets(st.sampled_from(["shifts", "depth", "resolution", "tiling"])))
+def test_cli_never_raises_on_json_values(command, values, present, tmp_path, capsys,
+                                         monkeypatch):
     monkeypatch.setenv("TILEFORGE_MAX_CELLS", "300")
     if command == "product":
         argv = _product(matrix1=json.dumps(values["matrix"]), shifts1=json.dumps(values["digits"]),
                         shifts2=json.dumps(values["p"]))
+    elif command in _FLAG_COMMANDS:
+        argv = [*command.split(), f"--matrix={json.dumps(values['matrix'])}",
+                f"--digits={json.dumps(values['digits'])}"]
+        for flag in _FLAG_COMMANDS[command]:
+            if flag in present or flag == "method":
+                value = values[flag] if flag != "shifts" else json.dumps(values[flag])
+                argv.append(f"--{flag}={value}")
+        if command == "tile render":
+            argv.append(f"--out={tmp_path / 'out.ppm'}")
     else:
         if command.startswith("tile"):
             spec = {"kind": "attractor", "matrix": values["matrix"], "digits": values["digits"]}

@@ -24,7 +24,7 @@ from tileforge.haar import (
     shift_orthonormality,
     wavelet_mean,
 )
-from tileforge.lattice import mat_pow, mat_vec
+from tileforge.lattice import System, mat_pow, mat_vec
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -231,8 +231,8 @@ def test_pieces_match_reference_classifier(name, int64_safe, data):
             haar._piece_tables.cache_clear()
             attractor._level.cache_clear()
         try:
-            got = haar._pieces(matrix, digits, depth, num, den)
-            tables = haar._piece_tables(matrix, digits, depth)
+            got = haar._pieces(System.of(matrix, digits), digits, depth, num, den)
+            tables = haar._piece_tables(System.of(matrix, digits), depth)
             assert all(t[0].dtype == (np.int64 if int64_safe is None else object) for t in tables)
         finally:
             haar._piece_tables.cache_clear()

@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 from test_scaled_map import inverse_fractions
 
 from tileforge import lattice
 from tileforge.lattice import (
+    System,
     as_int_matrix,
     det,
     is_expanding,
@@ -125,6 +127,35 @@ def test_validate_digits():
     assert not validate_digits([[2]], [(1,), (2,)])       # no zero
     assert not validate_digits([[2]], [(0,), (1,), (2,)])  # wrong count
     assert validate_digits([[2]], [(0,), (3,)])            # non-canonical, still valid
+    assert not validate_digits([[2]], [(0,), (1,), (1,)])  # a repeated digit counts
+    assert not validate_digits([[2]], [(0, 0), (1, 0)])    # wrong dimension
+    assert not validate_digits([[2]], [(0,), (0.5,)])      # not integral
+    with pytest.raises(ValueError):
+        validate_digits([[2.5]], [(0,), (1,)])
+
+
+def test_system_of_normalizes_once():
+    system = System.of([[1.0, 1], [-1, np.int64(1)]], [[1, 0], (0.0, 0), [1, 0]])
+    assert system.matrix == DRAGON and system.digits == ((0, 0), (1, 0))
+    assert system.is_integer and type(system.matrix[0][0]) is int
+    assert System.of(system) is system and System.of(DRAGON, [(0, 0), (1, 0)]) is system
+    assert system.det == 2 and system.inverse == (((1, -1), (1, 1)), 2)
+    assert system.is_residue_system and system.is_expanding
+    assert system.array.tolist() == [[0, 0], [1, 0]] and not system.array.flags.writeable
+    real = System.of([[2]], [(0,), (0.5,)])
+    assert not real.is_integer and real.digits == ((0.0,), (0.5,))
+    assert not real.is_residue_system
+    bare = System.of([[3]])
+    assert bare.digits == () and bare.is_integer and bare.det == 3
+    for matrix, digits in [([[True]], [(0,)]), ([["2"]], [(0,)]), ([[2]], [("0",)]),
+                           ([[2]], [(False,)]), ([[2, 0]], [(0,)]), ([], [(0,)]),
+                           ([[2]], [(0, 0)]), ([[2]], [])]:
+        with pytest.raises(ValueError):
+            System.of(matrix, digits)
+    for matrix, digits in [([[2 ** 63]], [(0,)]), ([[2]], [(0,), (-(2 ** 63),)]),
+                           ([[2.0 ** 64]], [(0,)])]:
+        with pytest.raises(OverflowError):
+            System.of(matrix, digits)
 
 
 def test_as_int_matrix_rejects_bad_input():

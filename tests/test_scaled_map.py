@@ -10,7 +10,7 @@ from math import floor, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tileforge import attractor
@@ -125,14 +125,31 @@ DTYPE_PATHS = ((np.int64, None), (object, None), (np.int64, 1))
 
 def _guard_bound(m, k, cells, resolution, origin):
     """The bound grid_indices checks against INT64_SAFE: max ||row||_1 *
-    max|z| + max|offset| + q b for the rows P b R and offsets a q R."""
+    max|z| + max|offset| for the rows P b R and offsets a q R.  The divisor
+    q b is guarded on its own."""
     p, q = inverse_power(m, k)
     origin = [Fraction(x) for x in origin]
     b = lcm(*(x.denominator for x in origin))
     zmax = max([1] + [abs(x) for z in cells for x in z])
     norm = max(sum(abs(x) for x in row) for row in p) * b * resolution
     offset = max(abs(x) * b * q * resolution for x in origin)
-    return norm * zmax + offset + q * b
+    return norm * zmax + offset
+
+
+@st.composite
+def map_cases(draw, ks, cell_bound, resolutions):
+    """(m, k, cells, resolution, origin, widths) for the scaled map."""
+    m = draw(expanding_matrices())
+    d = len(m)
+    cells = draw(st.lists(_vectors(d, cell_bound), min_size=1, max_size=12))
+    widths = st.fractions(min_value=0, max_value=4, max_denominator=50)
+    return (m, draw(ks), cells, draw(resolutions), draw(_coordinates(d)),
+            draw(st.tuples(*[widths] * d)))
+
+
+#: Its product bound 2^62 - 1 lies just below INT64_SAFE, so the indices stay
+#: int64, though the bound plus the divisor q b = 2 reaches it.
+BOUND_EDGE = (((2,),), 1, [(2 ** 62 - 1,), (0,)], 1, (0,), (Fraction(1),))
 
 
 def _expected_dtype(bound, safe):
@@ -159,12 +176,11 @@ def test_inverse_power_matches_fraction_inverse(m, k):
 
 
 @SETTINGS
-@given(m=expanding_matrices(), k=st.integers(0, 6), data=st.data())
-def test_grid_indices_match_fraction_reference(m, k, data):
+@given(case=map_cases(st.integers(0, 6), 10 ** 6, st.integers(1, 500)))
+@example(case=BOUND_EDGE)
+def test_grid_indices_match_fraction_reference(case):
+    m, k, cells, resolution, origin, _ = case
     d = len(m)
-    cells = data.draw(st.lists(_vectors(d, 10 ** 6), min_size=1, max_size=12))
-    resolution = data.draw(st.integers(1, 500))
-    origin = data.draw(_coordinates(d))
     expected = _reference_indices(m, k, cells, resolution, origin)
     bound = _guard_bound(m, k, cells, resolution, origin)
     for dtype, safe in DTYPE_PATHS:
@@ -187,14 +203,10 @@ def test_grid_indices_past_int64_match_fraction_reference(cell):
 
 
 @SETTINGS
-@given(m=expanding_matrices(), k=st.integers(1, 5), data=st.data())
-def test_rasterize_matches_fraction_reference(m, k, data):
-    d = len(m)
-    cells = data.draw(st.lists(_vectors(d, 400), min_size=1, max_size=12))
-    resolution = data.draw(st.integers(1, 8))
-    lo = data.draw(_coordinates(d))
-    widths = data.draw(st.tuples(*[st.fractions(min_value=0, max_value=4,
-                                                 max_denominator=50)] * d))
+@given(case=map_cases(st.integers(1, 5), 400, st.integers(1, 8)))
+@example(case=BOUND_EDGE)
+def test_rasterize_matches_fraction_reference(case):
+    m, k, cells, resolution, lo, widths = case
     hi = tuple(Fraction(x) + w for x, w in zip(lo, widths))
     extent = tuple(max(1, -floor(-(w * resolution))) for w in widths)
     expected = np.zeros(extent, dtype=np.int64)
