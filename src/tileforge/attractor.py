@@ -114,13 +114,10 @@ def _bounding_box_float(matrix, shifts):
     minv = np.linalg.inv(np.array(matrix, dtype=float))
     pts = np.array([[float(x) for x in s] for s in shifts])
     smax = float(np.max(np.abs(pts))) if pts.size else 0.0
-    lo = np.zeros(d)
-    hi = np.zeros(d)
+    lo, hi = np.zeros(d), np.zeros(d)
     power = minv.copy()
     norm_sum = 0.0
-    j = 0
-    while True:
-        j += 1
+    for j in range(1, 401):
         imgs = pts @ power.T
         lo += imgs.min(axis=0)
         hi += imgs.max(axis=0)
@@ -128,11 +125,10 @@ def _bounding_box_float(matrix, shifts):
         norm_sum += norm
         if norm <= 0.5:
             tail = norm * 2.0 * norm_sum * smax * 1.001 + 1e-12
-            if tail <= 1.0 / 64 or j >= 400:
+            if tail <= 1.0 / 64 or j == 400:
                 return tuple(lo - tail), tuple(hi + tail)
-        if j >= 400:
-            raise ValueError("matrix does not appear to be expanding")
         power = power @ minv
+    raise ValueError("matrix does not appear to be expanding")
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +657,7 @@ def self_similarity_residual(approx: AttractorApprox) -> float:
     lead = [mk @ np.array(s, float) for s in approx.shifts]
     side2 = {tuple(round(z[i] + t[i], 12) for i in range(d))
              for z in prev.cells for t in lead}
-    union = side1 | side2
-    return len(side1 ^ side2) / len(union)
+    return len(side1 ^ side2) / len(side1 | side2)
 
 
 def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = False):
@@ -775,17 +770,13 @@ def rasterize(approx: AttractorApprox, resolution: int, box=None) -> Raster:
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    d = approx.dim
     if box is None:
-        lo, hi = bounding_box(approx.system, approx.shifts)
+        lo, hi = bounding_box(approx.system, approx.system.digits)
     else:
         lo, hi = box
         lo = tuple(Fraction(x) if approx.is_integer else float(x) for x in lo)
         hi = tuple(Fraction(x) if approx.is_integer else float(x) for x in hi)
-    extent = []
-    for i in range(d):
-        n = -int(-((hi[i] - lo[i]) * resolution) // 1)
-        extent.append(max(int(n), 1))
+    extent = [max(-int(-((h - l) * resolution) // 1), 1) for l, h in zip(lo, hi)]
     occupancy = np.zeros(tuple(extent), dtype=np.int64)
     if approx.is_integer:
         # Clamp before narrowing to int64: far from a caller's box the

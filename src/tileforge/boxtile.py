@@ -57,10 +57,7 @@ class BoxForm:
             raise ValueError("p must be a nonempty tuple of positive integers")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        prod = 1
-        for x in self.p:
-            prod *= x
-        if prod < 2:
+        if math.prod(self.p) < 2:
             raise ValueError("not all p_i may equal 1 (the matrix would not expand)")
 
 
@@ -162,18 +159,16 @@ def monomial_structure(matrix) -> MonomialStructure:
                 f"column {j} has {len(nonzero)} nonzero entries, expected exactly 1")
         perm.append(nonzero[0])
         mult.append(m[nonzero[0]][j])
-    seen = [False] * d
+    seen = set()
     cycles = []
-    for start in range(d):
-        if seen[start]:
-            continue
+    for j in range(d):
         cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
+        while j not in seen:
+            seen.add(j)
             cyc.append(j)
             j = perm[j]
-        cycles.append(tuple(cyc))
+        if cyc:
+            cycles.append(tuple(cyc))
     return MonomialStructure(tuple(perm), tuple(mult), tuple(cycles))
 
 
@@ -408,15 +403,10 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
     else:
         pts = _corner_cloud(approx, *_cell_grid(approx.points))
         hull_volume, fit_volume, edges = _min_parallelepiped(pts, d)
-    filled = hull_volume >= (1.0 - tol) * fit_volume
-    consistent = (vol_lo <= hull_volume * (1.0 + tol)
+    is_box = bool(hull_volume >= (1.0 - tol) * fit_volume       # filled
+                  and vol_lo <= hull_volume * (1.0 + tol)       # consistent
                   and hull_volume <= vol_hi * (1.0 + tol))
     return ParallelepipedReport(
-        is_box=bool(filled and consistent),
-        edge_vectors=edges if (filled and consistent) else None,
-        hull_volume=float(hull_volume),
-        fit_volume=float(fit_volume),
-        measure_estimate=float(vol_hi),
-        interior_estimate=float(vol_lo),
-        tol=tol,
-    )
+        is_box=is_box, edge_vectors=edges if is_box else None,
+        hull_volume=float(hull_volume), fit_volume=float(fit_volume),
+        measure_estimate=float(vol_hi), interior_estimate=float(vol_lo), tol=tol)

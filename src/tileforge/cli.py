@@ -44,8 +44,7 @@ class InputError(ValueError):
 
 
 def _emit(report) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+    print(json.dumps(report, sort_keys=True, indent=2))
 
 
 def _parse_json_field(text, name):
@@ -75,15 +74,11 @@ def _load_spec(path):
     return spec
 
 
+#: The required and the optional fields of each spec kind.
 _SPEC_FIELDS = {
-    "attractor": {"matrix"},
-    "boxform": {"p"},
-    "oned": {"set"},
-}
-_SPEC_OPTIONAL = {
-    "attractor": {"digits", "shifts", "params"},
-    "boxform": {"sign", "params"},
-    "oned": {"l", "params"},
+    "attractor": ({"matrix"}, {"digits", "shifts", "params"}),
+    "boxform": ({"p"}, {"sign", "params"}),
+    "oned": ({"set"}, {"l", "params"}),
 }
 
 
@@ -91,8 +86,8 @@ def _validate_spec(spec):
     kind = spec.get("kind")
     if kind not in _SPEC_FIELDS:
         raise InputError(f"spec kind must be one of {sorted(_SPEC_FIELDS)}, got {kind!r}")
-    required = _SPEC_FIELDS[kind]
-    allowed = required | _SPEC_OPTIONAL[kind] | {"kind"}
+    required, optional = _SPEC_FIELDS[kind]
+    allowed = required | optional | {"kind"}
     missing = required - spec.keys()
     if missing:
         raise InputError(f"spec kind {kind!r} requires fields {sorted(missing)}")
@@ -126,18 +121,23 @@ def _int_system(matrix, digits):
     return system, [tuple(map(int, v)) for v in digits]
 
 
-def _matrix_digits_from(args, spec=None):
-    """System, digits in the given order, and params, from --spec plus inline
-    flags (flags win).
+def _spec_of(args, spec, kind, article="a"):
+    """The --spec content, which must be of the given kind; {} without --spec.
 
     `spec` is the --spec file's content when the caller has read it already.
     """
-    if getattr(args, "spec", None):
-        spec = _validate_spec(_load_spec(args.spec) if spec is None else spec)
-        if spec.get("kind") != "attractor":
-            raise InputError("this command needs an attractor problem spec")
-    else:
-        spec = {}
+    if not getattr(args, "spec", None):
+        return {}
+    spec = _validate_spec(_load_spec(args.spec) if spec is None else spec)
+    if spec.get("kind") != kind:
+        raise InputError(f"this command needs {article} {kind} problem spec")
+    return spec
+
+
+def _matrix_digits_from(args, spec=None):
+    """System, digits in the given order, and params, from --spec plus inline
+    flags (flags win)."""
+    spec = _spec_of(args, spec, "attractor", "an")
     matrix = spec.get("matrix")
     digits = spec.get("digits") or spec.get("shifts")
     if getattr(args, "matrix", None):
@@ -164,23 +164,14 @@ def _positive(args, params, name, default=None):
 
 
 def _boxform_from(args, spec=None):
-    if getattr(args, "spec", None):
-        spec = _validate_spec(_load_spec(args.spec) if spec is None else spec)
-        if spec.get("kind") != "boxform":
-            raise InputError("this command needs a boxform problem spec")
-    else:
-        spec = {}
+    spec = _spec_of(args, spec, "boxform")
     p = spec.get("p")
     sign = spec.get("sign", 1)
     if getattr(args, "p", None):
         p = _parse_int_list(args.p, "-p")
     if getattr(args, "sign", None):
-        raw = args.sign
-        if raw in ("+", "+1", "1"):
-            sign = 1
-        elif raw in ("-", "-1"):
-            sign = -1
-        else:
+        sign = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}.get(args.sign)
+        if sign is None:
             raise InputError("--sign must be + or -")
     if p is None:
         raise InputError("box commands need -p (or a boxform spec)")
@@ -203,7 +194,7 @@ def cmd_tile_check(args) -> int:
     # measure_upper and shift_cover_layers read the same cached report.
     report = attractor._tile_report(system)
     mu = attractor.measure_upper(system, digits, depth)
-    approx = attractor.approximate(system, digits, depth)
+    approx = attractor.approximate(system, system.digits, depth)
     hist = attractor.shift_cover_layers(approx)
     _emit({
         "kind": "tile_check",
@@ -260,12 +251,12 @@ def _blank_image(width, height):
 
 
 def cmd_tile_render(args) -> int:
-    system, shifts, params = _matrix_digits_from(args)
+    system, _, params = _matrix_digits_from(args)
     depth = _positive(args, params, "depth", 12)
     resolution = _positive(args, params, "resolution", 64)
     if system.dim != 2:
         raise InputError("render supports two-dimensional systems")
-    approx = attractor.approximate(system, shifts, depth)
+    approx = attractor.approximate(system, system.digits, depth)
     gx, gy = attractor.grid_indices(approx, resolution, (0, 0)).astype(np.int64)
     if args.tiling:
         window = _parse_window(args.tiling)
@@ -279,7 +270,7 @@ def cmd_tile_render(args) -> int:
         # Translates whose bounding box meets the window, in sorted order, give
         # the palette index; only those putting a cell pixel g in the window
         # paint: t0 - g // R + k for 0 <= k < t1 - t0 on each axis.
-        lo_b, hi_b = attractor.bounding_box(system, shifts)
+        lo_b, hi_b = attractor.bounding_box(system, system.digits)
         xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
         ys = range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
         units = attractor._unique_rows(np.stack([gx, gy], axis=1) // resolution)[0]
@@ -318,32 +309,24 @@ def cmd_tile_render(args) -> int:
 # box commands
 # ---------------------------------------------------------------------------
 
-def cmd_box_build(args) -> int:
+def _box_report(args):
+    """The box form of the arguments and the report fields of its digit set."""
     form = _boxform_from(args)
-    matrix = boxtile.build_cyclic_matrix(form)
     digits = boxtile.box_digits(form)
-    _emit({
-        "kind": "box_build",
-        "p": list(form.p),
-        "sign": form.sign,
-        "matrix": [list(r) for r in matrix],
-        "digits": [list(v) for v in digits],
-        "digit_count": len(digits),
-        "expanding": lattice.is_expanding(matrix),
-    })
+    return form, {"p": list(form.p), "sign": form.sign,
+                  "digits": [list(v) for v in digits], "digit_count": len(digits)}
+
+
+def cmd_box_build(args) -> int:
+    form, report = _box_report(args)
+    matrix = boxtile.build_cyclic_matrix(form)
+    _emit({**report, "kind": "box_build", "matrix": [list(r) for r in matrix],
+           "expanding": lattice.is_expanding(matrix)})
     return EXIT_OK
 
 
 def cmd_box_digits(args) -> int:
-    form = _boxform_from(args)
-    digits = boxtile.box_digits(form)
-    _emit({
-        "kind": "box_digits",
-        "p": list(form.p),
-        "sign": form.sign,
-        "digits": [list(v) for v in digits],
-        "digit_count": len(digits),
-    })
+    _emit({**_box_report(args)[1], "kind": "box_digits"})
     return EXIT_OK
 
 
@@ -357,7 +340,7 @@ def cmd_box_detect(args) -> int:
         system, digits, _ = _matrix_digits_from(args, spec)
     tol = boxtile._check_tol(args.tol if args.tol is not None else 0.05)
     depth = _positive(args, {}, "depth") or boxtile.suggested_depth(system, digits)
-    approx = attractor.approximate(system, digits, depth)
+    approx = attractor.approximate(system, system.digits, depth)
     try:
         report = boxtile.is_parallelepiped(approx, tol=tol)
     except boxtile.DegeneratePointCloudError as exc:
@@ -431,44 +414,26 @@ def cmd_haar_gram(args) -> int:
 
 def cmd_oned_oracle(args) -> int:
     y = oned.as_intset(_parse_int_list(args.set, "set"))
+    report = {"kind": "oned_oracle", "set": list(y)}
     try:
         n, shifts = oned.tiling_oracle(y, args.n_max)
     except oned.NotTilingError as exc:
-        _emit({
-            "kind": "oned_oracle",
-            "set": list(y),
-            "tiles": False,
-            "bound": exc.n_max,
-        })
+        _emit({**report, "tiles": False, "bound": exc.n_max})
         return EXIT_NEGATIVE
-    _emit({
-        "kind": "oned_oracle",
-        "set": list(y),
-        "tiles": True,
-        "segment_length": n,
-        "shifts": list(shifts),
-    })
+    _emit({**report, "tiles": True, "segment_length": n, "shifts": list(shifts)})
     return EXIT_OK
 
 
 def cmd_oned_classify(args) -> int:
     y = oned.as_intset(_parse_int_list(args.set, "set"))
+    report = {"kind": "oned_classify", "set": list(y)}
     try:
         progressions = oned.classify(y)
     except oned.NotSimpleError as exc:
-        _emit({
-            "kind": "oned_classify",
-            "set": list(y),
-            "simple": False,
-            "reason": str(exc),
-        })
+        _emit({**report, "simple": False, "reason": str(exc)})
         return EXIT_NEGATIVE
-    _emit({
-        "kind": "oned_classify",
-        "set": list(y),
-        "simple": True,
-        "progressions": [{"a": p.a, "d": p.d} for p in progressions],
-    })
+    _emit({**report, "simple": True,
+           "progressions": [{"a": p.a, "d": p.d} for p in progressions]})
     return EXIT_OK
 
 
@@ -616,13 +581,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except attractor.ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:   # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

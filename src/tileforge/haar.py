@@ -19,7 +19,7 @@ box tiles attain it, which is what makes them the preferred generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -57,19 +57,10 @@ def hyperplane_basis(m: int) -> HyperplaneBasis:
     """
     if m < 2:
         raise ValueError("need at least two digits")
-    vectors = []
-    integer_rows = []
-    norm_sq = []
-    for s in range(1, m):
-        u = [1] * s + [-s] + [0] * (m - s - 1)
-        nsq = s * (s + 1)
-        y = 1.0 / math.sqrt(nsq)
-        vectors.append(tuple(ui * y for ui in u))
-        integer_rows.append(tuple(u))
-        norm_sq.append(nsq)
-    return HyperplaneBasis(m=m, vectors=tuple(vectors),
-                           integer_rows=tuple(integer_rows),
-                           norm_sq=tuple(norm_sq))
+    rows = tuple(tuple([1] * s + [-s] + [0] * (m - s - 1)) for s in range(1, m))
+    norm_sq = tuple(s * (s + 1) for s in range(1, m))
+    vectors = tuple(tuple(u * (1.0 / math.sqrt(n)) for u in row) for row, n in zip(rows, norm_sq))
+    return HyperplaneBasis(m=m, vectors=vectors, integer_rows=rows, norm_sq=norm_sq)
 
 
 @dataclass(frozen=True)
@@ -79,13 +70,19 @@ class HaarSystem:
     `digits` keeps the caller's order, which numbers the pieces: pieces[s]
     lists, for generator s+1, one (digit index k, coefficient) pair per
     digit; the coefficient is sqrt(m) * (e_{s+1})_{k+1}.  The support of
-    every generator is the tile itself.
+    every generator is the tile itself.  `system` is the System of matrix
+    and digits, built from them when not given.
     """
 
-    system: System
+    matrix: tuple
     digits: tuple
     basis: HyperplaneBasis
     pieces: tuple
+    system: System = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.system is None:
+            object.__setattr__(self, "system", System.of(self.matrix, self.digits))
 
     @property
     def m(self) -> int:
@@ -112,7 +109,8 @@ def build_wavelets(matrix, digits, basis: Optional[HyperplaneBasis] = None) -> H
         tuple((k, root_m * basis.vectors[s][k]) for k in range(count))
         for s in range(count - 1)
     )
-    return HaarSystem(system=system, digits=digits, basis=basis, pieces=pieces)
+    return HaarSystem(matrix=system.matrix, digits=digits, basis=basis, pieces=pieces,
+                      system=system)
 
 
 def wavelet_mean(system: HaarSystem, s: int) -> Fraction:
@@ -123,8 +121,7 @@ def wavelet_mean(system: HaarSystem, s: int) -> Fraction:
     """
     if not 1 <= s <= system.generator_count:
         raise ValueError(f"generator index must be in 1..{system.generator_count}")
-    total = sum(system.basis.integer_rows[s - 1])
-    if total != 0:
+    if sum(system.basis.integer_rows[s - 1]) != 0:
         raise AssertionError("hyperplane basis row does not sum to zero")
     return Fraction(0)
 
@@ -153,10 +150,7 @@ def exact_inner(system: HaarSystem, i: int, j: int) -> Fraction:
     if i == 0 and j == 0:
         return Fraction(1)
     if i == 0 or j == 0:
-        s = max(i, j)
-        if sum(system.basis.integer_rows[s - 1]) != 0:
-            raise AssertionError("hyperplane basis row does not sum to zero")
-        return Fraction(0)
+        return wavelet_mean(system, max(i, j))
     us = system.basis.integer_rows[i - 1]
     ut = system.basis.integer_rows[j - 1]
     dot = sum(a * b for a, b in zip(us, ut))

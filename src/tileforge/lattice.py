@@ -56,13 +56,15 @@ class System:
 
     `matrix` is a tuple of rows, `digits` the distinct digits in sorted order
     (none for a bare matrix); each holds ints when all its entries are
-    integral, else floats, and `is_integer` when both do.  Build one with
-    System.of.  The hash and the facts below are computed once per system.
+    integral, else floats.  `int_matrix` says whether the matrix is integral,
+    `is_integer` whether the digits are too.  Build one with System.of.  The
+    hash and the facts below are computed once per system.
     """
 
     matrix: tuple
     digits: tuple
     is_integer: bool
+    int_matrix: bool
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.matrix, self.digits)))
@@ -72,11 +74,16 @@ class System:
 
     @classmethod
     def of(cls, matrix, digits=None) -> "System":
-        """The System of a raw matrix and digit set (none: of the bare matrix);
-        a System is returned unchanged.  Integral floats become ints; see
-        _freeze for refused entries, and a non-square matrix, digits of
-        another dimension or an empty digit set raise ValueError."""
+        """The System of a raw matrix and digit set (none: of the bare matrix).
+        Integral floats become ints; see _freeze for refused entries, and a
+        non-square matrix, digits of another dimension or an empty digit set
+        raise ValueError.  A System is returned unchanged; `digits` given
+        with it must be its own, in any order and with repeats, else
+        ValueError."""
         if isinstance(matrix, System):
+            if (digits is not None and digits is not matrix.digits
+                    and set(map(tuple, digits)) != set(matrix.digits)):
+                raise ValueError("digits differ from the digits of the System")
             return matrix
         rows, int_matrix = _freeze(matrix, "matrix")
         d = len(rows)
@@ -90,7 +97,8 @@ class System:
         for v in vectors:
             if len(v) != d:
                 raise ValueError(f"digit {v!r} has wrong dimension, expected {d}")
-        return _canonical(cls(rows, tuple(sorted(set(vectors))), int_matrix and int_digits))
+        return _canonical(cls(rows, tuple(sorted(set(vectors))), int_matrix and int_digits,
+                              int_matrix))
 
     @property
     def dim(self) -> int:
@@ -109,8 +117,6 @@ class System:
         if d == 0:
             raise SingularMatrixError("matrix is singular")
         sign = 1 if d > 0 else -1
-        if n == 1:
-            return ((sign,),), abs(d)
         return tuple(
             tuple(sign * (-1) ** (i + j) * _bareiss([row[:i] + row[i + 1:]
                                                      for r, row in enumerate(m) if r != j])
@@ -119,10 +125,10 @@ class System:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The digits as a read-only (n, d) array: int64 for integer digits
-        (they lie within the input bound), else float64."""
-        exact = not self.digits or isinstance(self.digits[0][0], int)
-        a = np.array(self.digits, dtype=np.int64 if exact else float).reshape(-1, self.dim)
+        """The digits as a read-only (n, d) array: int64 for an integer system
+        (its digits lie within the input bound), else float64."""
+        a = np.array(self.digits, dtype=np.int64 if self.is_integer else float)
+        a = a.reshape(-1, self.dim)
         a.flags.writeable = False
         return a
 
@@ -145,7 +151,7 @@ class System:
         That is checked exactly first, so floating point can never accept a
         non-expanding integer matrix with unit determinant.
         """
-        if isinstance(self.matrix[0][0], int) and abs(self.det) < 2:
+        if self.int_matrix and abs(self.det) < 2:
             return False
         return _eigenvalues_expand(self.matrix)
 
@@ -165,7 +171,7 @@ def _eigenvalues_expand(matrix) -> bool:
 def _integer_system(matrix) -> System:
     """System.of(matrix), or ValueError unless its matrix is integral."""
     system = System.of(matrix)
-    if not isinstance(system.matrix[0][0], int):
+    if not system.int_matrix:
         raise ValueError("matrix entries must be integers")
     return system
 
@@ -177,7 +183,8 @@ def as_int_matrix(entries):
 
 
 def _bareiss(rows) -> int:
-    """Exact determinant of integer rows by fraction-free (Bareiss) elimination."""
+    """Exact determinant of integer rows by fraction-free (Bareiss) elimination;
+    1 for no rows."""
     m = [list(row) for row in rows]
     n = len(m)
     sign = 1
@@ -197,7 +204,7 @@ def _bareiss(rows) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def det(matrix) -> int:
@@ -287,27 +294,26 @@ def residue_system(matrix):
     corners = [mat_vec(m, c) for c in product((0, 1), repeat=d)]
     lo = [min(c[i] for c in corners) for i in range(d)]
     hi = [max(c[i] for c in corners) for i in range(d)]
-    digits = []
-    for r in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
-        if all(0 <= c < q for c in mat_vec(p, r)):
-            digits.append(r)
-    digits.sort()
+    # The product of ascending ranges runs in lexicographic order.
+    digits = tuple(r for r in product(*(range(lo[i], hi[i] + 1) for i in range(d)))
+                   if all(0 <= c < q for c in mat_vec(p, r)))
     assert len(digits) == q
-    return tuple(digits)
+    return digits
 
 
-def validate_digits(matrix, digits=None) -> bool:
+def validate_digits(matrix, digits) -> bool:
     """True iff digits are a full residue system for M containing zero.
 
     Checks cardinality |D| = |det M| (repeated digits count, so they fail
     it), membership of the zero vector, and pairwise inequivalence modulo
-    M Z^d.  Malformed digits give False; a malformed or real matrix raises.
-    With a System for `matrix`, `digits` (when given) only supplies the count.
+    M Z^d.  Malformed digits give False; a malformed or real matrix raises,
+    and so does a System given with digits other than its own.
     """
     try:
         system = System.of(matrix, digits)
     except (ValueError, OverflowError):
-        _integer_system(matrix)
+        if isinstance(matrix, System):
+            raise
+        _integer_system(matrix)     # raises for the matrix, else the digits are at fault
         return False
-    _integer_system(system)
-    return system.is_residue_system and (digits is None or len(digits) == len(system.digits))
+    return _integer_system(system).is_residue_system and len(digits) == len(system.digits)

@@ -86,6 +86,20 @@ def test_equal_inputs_share_one_system_and_its_memos():
     assert again.system is first.system and again == first
 
 
+def test_a_system_passed_with_other_digits_is_refused():
+    m, digits = ((0, 5), (-1, 2)), [(k, 0) for k in range(5)]
+    system = System.of(m, digits)
+    assert approximate(system, digits[::-1], 2) == approximate(m, digits, 2)
+    other = [(0, 0), (1, 0)]
+    for call in (lambda: approximate(system, other, 2),
+                 lambda: approximate(System.of(m), digits, 2),
+                 lambda: bounding_box(system, other),
+                 lambda: tile_check_exact(system, other),
+                 lambda: measure_upper(system, other, 2)):
+        with pytest.raises(ValueError, match="differ"):
+            call()
+
+
 def test_approximate_resource_cap():
     with pytest.raises(ResourceLimitError):
         approximate([[2]], [(0,), (1,)], 40, max_cells=1000)

@@ -97,6 +97,22 @@ def test_build_rejects_mismatched_basis():
         build_wavelets([[2]], [(0,), (2,)])
 
 
+def test_haar_system_keeps_its_matrix_and_the_digits_of_its_system():
+    wavelets = build_wavelets([[1, 1.0], [-1, 1]], [(1, 0), (0, 0)])
+    assert wavelets.matrix == DRAGON_M and wavelets.digits == ((1, 0), (0, 0))
+    assert wavelets.system is System.of(DRAGON_M, DRAGON_D)
+    # Built directly, it makes its System from the matrix and digits.
+    again = haar.HaarSystem(matrix=DRAGON_M, digits=wavelets.digits, basis=wavelets.basis,
+                            pieces=wavelets.pieces)
+    assert again == wavelets and again.system == wavelets.system
+    # Digits other than those of a System passed in are refused, not swapped in.
+    for digits in [((0, 0), (3, 0)), ((0, 0), (1, 0), (2, 0))]:
+        with pytest.raises(ValueError, match="differ"):
+            build_wavelets(System.of(DRAGON_M, DRAGON_D), digits)
+    with pytest.raises(ValueError, match="differ"):
+        build_wavelets(System.of(DRAGON_M), DRAGON_D)
+
+
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------

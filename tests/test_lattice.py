@@ -143,10 +143,13 @@ def test_system_of_normalizes_once():
     assert system.is_residue_system and system.is_expanding
     assert system.array.tolist() == [[0, 0], [1, 0]] and not system.array.flags.writeable
     real = System.of([[2]], [(0,), (0.5,)])
-    assert not real.is_integer and real.digits == ((0.0,), (0.5,))
-    assert not real.is_residue_system
+    assert not real.is_integer and real.int_matrix and real.digits == ((0.0,), (0.5,))
+    assert not real.is_residue_system and real.array.dtype == float
+    # The exact |det| >= 2 test reads the matrix alone, whatever the digits.
+    assert not System.of([[1]], [(0,), (0.5,)]).is_expanding
+    assert not System.of([[1.5]], [(0,), (1,)]).int_matrix
     bare = System.of([[3]])
-    assert bare.digits == () and bare.is_integer and bare.det == 3
+    assert bare.digits == () and bare.is_integer and bare.int_matrix and bare.det == 3
     for matrix, digits in [([[True]], [(0,)]), ([["2"]], [(0,)]), ([[2]], [("0",)]),
                            ([[2]], [(False,)]), ([[2, 0]], [(0,)]), ([], [(0,)]),
                            ([[2]], [(0, 0)]), ([[2]], [])]:
@@ -158,11 +161,29 @@ def test_system_of_normalizes_once():
             System.of(matrix, digits)
 
 
+def test_system_with_other_digits_is_refused():
+    system = System.of([[2]], [(0,), (1,)])
+    # Its own digits, in any order and with repeats, name the same System.
+    assert System.of(system, [(1,), (0,), (0,)]) is system
+    assert validate_digits(system, [[1], [0]]) and not validate_digits(system, [(1,), (0,), (0,)])
+    for digits in ([(5,), (7,)], [(0,), (3,)], [(0,)], [(0,), (1,), (2,)], [(0,), (0.5,)]):
+        with pytest.raises(ValueError, match="differ"):
+            System.of(system, digits)
+        with pytest.raises(ValueError, match="differ"):
+            validate_digits(system, digits)
+    # A bare System carries no digits, so none given with it are its own.
+    with pytest.raises(ValueError, match="differ"):
+        validate_digits(System.of([[2]]), [(0,), (1,)])
+
+
 def test_as_int_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         as_int_matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         as_int_matrix([[1.5, 0], [0, 1]])
+    # Integral floats are integers, by the rules of System.of.
+    assert as_int_matrix([[2.0, 0], [0, np.int64(1)]]) == ((2, 0), (0, 1))
+    assert det([[2.0]]) == 2 and is_expanding([[2.0]])
     with pytest.raises(OverflowError):
         as_int_matrix([[2 ** 64, 0], [0, 1]])
     with pytest.raises(ValueError):
