@@ -19,12 +19,13 @@ on column sums.  The radius is only displayed: m for a non-tile, else estimated.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 from typing import Optional
 
@@ -51,6 +52,62 @@ def max_cells_budget() -> int:
     if not raw.isdecimal() or int(raw) <= 0:
         raise ValueError(f"TILEFORGE_MAX_CELLS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+#: The budget checks run so far while a _budget_memo value is computed, else None.
+_checks = contextvars.ContextVar("_checks", default=None)
+
+
+def _check_budget(what, need):
+    """Raise ResourceLimitError when `need` cells exceed the cell budget."""
+    _check_needs([(what, need)])
+
+
+def _check_needs(needs, budget=None):
+    """_check_budget on each (what, need) pair in order, reading the budget once.
+
+    Checks against the cell budget are recorded by the _budget_memo being
+    filled, if any.  `needs` may be lazy: a pair is drawn only once every
+    pair before it has passed.
+    """
+    log = None
+    if budget is None:
+        log, budget = _checks.get(), max_cells_budget()
+    for what, need in needs:
+        if log is not None:
+            log.append((what, need))
+        if need > budget:
+            raise ResourceLimitError(
+                f"{what} needs up to {need} cells, budget is {budget} (TILEFORGE_MAX_CELLS)")
+
+
+def _budget_memo(maxsize):
+    """lru_cache for a function of hashable arguments whose hits rerun, in
+    order, every cell-budget check of the call that filled them.
+
+    So a cached value is returned under exactly the budgets, and raises
+    exactly the errors, that computing it again would.  The checks of a
+    nested memo are rerun by it, and so recorded by the memo outside it.
+    """
+    def wrap(fn):
+        @lru_cache(maxsize=maxsize)
+        def fill(*key):
+            token = _checks.set(log := [])
+            try:
+                return fn(*key), tuple(log)
+            finally:
+                _checks.reset(token)
+
+        @wraps(fn)
+        def memo(*key):
+            value, checks = fill(*key)
+            if checks:
+                _check_needs(checks)
+            return value
+
+        memo.cache_info, memo.cache_clear = fill.cache_info, fill.cache_clear
+        return memo
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +333,18 @@ def _unravel(keys, lo, span):
     return np.stack([keys // st % n + a for st, n, a in zip(strides, span, lo)], axis=1)
 
 
+def _exact_keys(rows, lo, span):
+    """_ravel keys of integer rows, as Python ints once the box lo + [0, span)
+    holds INT64_SAFE cells."""
+    return _ravel(rows if math.prod(span) < INT64_SAFE else rows.astype(object), lo, span)
+
+
 def _unique_rows(rows):
     """Distinct integer rows in lexicographic order and their multiplicities,
     deduplicated on raveled keys."""
     lo = [int(x) for x in rows.min(axis=0)]
     span = [int(x) - a + 1 for x, a in zip(rows.max(axis=0), lo)]
-    exact = rows if math.prod(span) < INT64_SAFE else rows.astype(object)
-    _, first, mult = np.unique(_ravel(exact, lo, span), return_index=True, return_counts=True)
+    _, first, mult = np.unique(_exact_keys(rows, lo, span), return_index=True, return_counts=True)
     return rows[first], mult
 
 
@@ -307,24 +369,23 @@ def _level(system, t):
     return pts
 
 
-def _cells_at(system, depth, max_cells):
-    """Cells at `depth`, built level by level within the cell budget."""
+def _cells_at(system, depth, max_cells=None):
+    """Cells at `depth`, built level by level within `max_cells`, by default
+    the cell budget."""
     if not system.is_expanding:
         raise ValueError("matrix must be expanding")
+    _check_needs(_level_needs(system, depth), max_cells)
+    return _level(system, depth)
+
+
+def _level_needs(system, depth):
+    """The budget checks of the levels up to `depth`, each level built only when drawn."""
     # Two distinct shifts add a cell per level, so only one shift reaches a
     # depth past the budget, and its one-cell frontier would never stop it.
-    if depth > max_cells:
-        raise ResourceLimitError(
-            f"depth {depth} exceeds the budget of {max_cells} cells (TILEFORGE_MAX_CELLS)")
+    yield f"depth {depth}", depth
     # The budget is checked per level whether or not the level is cached.
     for t in range(1, depth + 1):
-        need = len(_level(system, t - 1)) * len(system.digits)
-        if need > max_cells:
-            raise ResourceLimitError(
-                f"depth {t} needs up to {need} cells, "
-                f"budget is {max_cells} (TILEFORGE_MAX_CELLS)"
-            )
-    return _level(system, depth)
+        yield f"depth {t}", len(_level(system, t - 1)) * len(system.digits)
 
 
 def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
@@ -337,8 +398,7 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
     if depth < 1:
         raise ValueError("depth must be >= 1")
     system = System.of(matrix, shifts)
-    budget = max_cells if max_cells is not None else max_cells_budget()
-    cells = _cells_at(system, depth, budget)
+    cells = _cells_at(system, depth, max_cells)
     return AttractorApprox(matrix=system.matrix, shifts=system.digits, depth=depth,
                            points=cells, is_integer=system.is_integer, system=system)
 
@@ -363,14 +423,14 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     return CellView(_unit_cell_cover(system, level))
 
 
-@lru_cache(maxsize=64)
+@_budget_memo(maxsize=64)
 def _unit_cell_cover(system, level):
     lo, hi = _bounding_box_exact(system)
     if level is None:
         level = 1
         while len(system.digits) ** (level + 1) <= 512:
             level += 1
-    cells = _cells_at(system, level, max_cells_budget())
+    cells = _cells_at(system, level)
     # Scaled integers: M^{-level} = sn / q and B = [lo, hi] has denominator r,
     # so one product gives each region M^{-level}(c + B) as [low, high] / (q r).
     sn, q = _inverse_power(system, level)
@@ -386,14 +446,6 @@ def _unit_cell_cover(system, level):
     cover = _unique_rows(rows)[0] if len(rows) else rows
     cover.flags.writeable = False
     return cover
-
-
-def _check_budget(what, need):
-    """Raise ResourceLimitError when `need` cells exceed the cell budget."""
-    budget = max_cells_budget()
-    if need > budget:
-        raise ResourceLimitError(
-            f"{what} needs up to {need} cells, budget is {budget} (TILEFORGE_MAX_CELLS)")
 
 
 def _cover_keys(points, cover):
@@ -455,10 +507,14 @@ def measure_upper(matrix, digits, depth: int, level: Optional[int] = None) -> Fr
         raise ValueError("digits must form a residue system for the matrix")
     if _tile_report(system).is_tile:
         return Fraction(1)
-    approx = approximate(system, system.digits, depth)
-    cover = _unit_cell_cover(system, level)
-    keys, _, _ = _cover_keys(approx.points, cover)
-    return Fraction(len(keys), abs(system.det) ** depth)
+    return Fraction(_cover_count(system, depth, level), abs(system.det) ** depth)
+
+
+@_budget_memo(maxsize=64)
+def _cover_count(system, depth, level):
+    """The number of unit cells at scale M^{-depth} that cover the attractor."""
+    cells = approximate(system, system.digits, depth).points
+    return len(_cover_keys(cells, _unit_cell_cover(system, level))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +644,7 @@ def contact_matrix(matrix, digits) -> ContactMatrix:
     return ContactMatrix(states=CellView(states), edges=edges)
 
 
-@lru_cache(maxsize=256)
+@_budget_memo(maxsize=256)
 def _tile_report(system) -> "TileReport":
     return tile_check_exact(system, system.digits)
 
@@ -668,22 +724,32 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
     histogram maps layer count -> number of cells.  For a tile the dominant
     count is 1, with deviations confined to cells near the boundary of the
     cover.  `window` is a per-coordinate (lo, hi) integer box, default the
-    unit cube.
+    unit cube.  The cells are those of approx.system at approx.depth.
     """
     if not approx.is_integer:
         raise ValueError("covering layers require integer data")
-    d = approx.dim
     if window is None:
-        window = tuple((0, 1) for _ in range(d))
+        window = tuple((0, 1) for _ in range(approx.dim))
     window = tuple((int(a), int(b)) for a, b in window)
     if any(b <= a for a, b in window):
         raise ValueError("window must have positive extent in every coordinate")
+    samples, layers = _cover_layers(approx.system, approx.depth, window)
+    hist = dict(zip(*(a.tolist() for a in np.unique(layers, return_counts=True))))
+    if per_cell:
+        return hist, dict(zip(map(tuple, samples.tolist()), layers.tolist()))
+    return hist
+
+
+@_budget_memo(maxsize=64)
+def _cover_layers(system, depth, window):
+    """The unit cells inside `window` at scale M^{-depth} and the number of
+    integer translates of the cover meeting each, as two read-only arrays."""
+    d = system.dim
     # With M^-depth = P / q, the mapped unit cell M^-depth(c + [0,1]^d) spans
     # (P c)_i plus the box bound of P over [0,1]^d, over q, along coordinate i.
-    system = approx.system
-    p, q = _inverse_power(system, approx.depth)
+    p, q = _inverse_power(system, depth)
     # Candidate sample cells from the corners of M^depth(window).
-    mk = mat_pow(system.matrix, approx.depth)
+    mk = mat_pow(system.matrix, depth)
     corners = [mat_vec(mk, c) for c in product(*[(lo, hi) for lo, hi in window])]
     ranges = [range(min(c[i] for c in corners) - 1, max(c[i] for c in corners) + 1)
               for i in range(d)]
@@ -705,14 +771,13 @@ def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = Fa
         cover = [(0,) * d]
     else:
         cover = _unit_cell_cover(system, None)
-    table = _cover_keys(approx.points, cover)
+    table = _cover_keys(_level(system, depth), cover)
     # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
     rows = (samples[:, None, :] - shifted[None, :, :]).reshape(-1, d)
     layers = _has_cells(table, rows).reshape(len(samples), -1).sum(axis=1)
-    hist = dict(zip(*(a.tolist() for a in np.unique(layers, return_counts=True))))
-    if per_cell:
-        return hist, dict(zip(map(tuple, samples.tolist()), layers.tolist()))
-    return hist
+    for a in (samples, layers):
+        a.flags.writeable = False
+    return samples, layers
 
 
 # ---------------------------------------------------------------------------

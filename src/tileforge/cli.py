@@ -273,15 +273,21 @@ def cmd_tile_render(args) -> int:
         lo_b, hi_b = attractor.bounding_box(system, system.digits)
         xs = range(x0 - int(hi_b[0] // 1) - 1, x1 - int(lo_b[0] // 1) + 1)
         ys = range(y0 - int(hi_b[1] // 1) - 1, y1 - int(lo_b[1] // 1) + 1)
-        units = attractor._unique_rows(np.stack([gx, gy], axis=1) // resolution)[0]
+        # Distinct unit squares and translates as 1-D row-major keys; a
+        # translate's key in the box xs x ys is its palette index.
+        squares = np.stack([gx, gy], axis=1) // resolution
+        lo = squares.min(axis=0).tolist()
+        span = [h - a + 1 for h, a in zip(squares.max(axis=0).tolist(), lo)]
+        units = attractor._unravel(np.unique(attractor._exact_keys(squares, lo, span)), lo, span)
         attractor._check_budget("the tiling translates", len(units) * (x1 - x0) * (y1 - y0))
         steps = attractor._grid([range(x1 - x0), range(y1 - y0)])
-        pairs = attractor._unique_rows((((x0, y0) - units)[:, None] + steps).reshape(-1, 2))[0]
+        pairs = (((x0, y0) - units)[:, None] + steps).reshape(-1, 2)
         pairs = pairs[(xs.start <= pairs[:, 0]) & (pairs[:, 0] < xs.stop)
                       & (ys.start <= pairs[:, 1]) & (pairs[:, 1] < ys.stop)]
+        indices = np.unique(attractor._exact_keys(pairs, (xs.start, ys.start), (len(xs), len(ys))))
         # Painted last to first so the first keeps each pixel.
-        for tx, ty in reversed(pairs.tolist()):
-            index = (tx - xs.start) * len(ys) + (ty - ys.start)
+        for index in reversed(indices.tolist()):
+            tx, ty = xs.start + index // len(ys), ys.start + index % len(ys)
             px = gx + (tx - x0) * resolution
             py = gy + (ty - y0) * resolution
             keep = (0 <= px) & (px < width) & (0 <= py) & (py < height)

@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import lattice
-from .attractor import (approximate, bounding_box, _check_budget, _cover_keys, _grid,
-                        _has_cells, _int_array, _int_product, _tile_report, _unit_cell_cover,
-                        _unravel)
+from .attractor import (approximate, bounding_box, _budget_memo, _check_budget, _cover_keys,
+                        _grid, _has_cells, _int_array, _int_product, _tile_report,
+                        _unit_cell_cover, _unravel)
 from .boxtile import _box_certificate
 from .lattice import System, mat_pow
 
@@ -170,7 +169,7 @@ def exact_gram(system: HaarSystem):
     )
 
 
-@lru_cache(maxsize=16)
+@_budget_memo(maxsize=16)
 def _piece_tables(system, depth: int):
     """_cover_keys tables of the expansion cells at depths K and K+1."""
     return tuple(_cover_keys(approximate(system, system.digits, k).points, [(0,) * system.dim])
@@ -219,23 +218,28 @@ def evaluate(system: HaarSystem, s: int, x, depth: int = 12) -> float:
     return 0.0 if piece < 0 else system.pieces[s - 1][piece][1]
 
 
-def _sample_pieces(system: HaarSystem, resolution: int, depth: int):
-    """Piece index of every raster cell center over the bounding-box grid.
+@_budget_memo(maxsize=16)
+def _sample_pieces(system, digits, resolution: int, depth: int):
+    """Samples per piece of the raster cell centers over the bounding-box grid.
 
-    Returns (piece array, cell volume).  Sample j along axis i sits at
-    int(lo_i * 2R + 2j + 1) / 2R, the cell center truncated toward zero to
-    the 1/2R grid, so the classification is deterministic.
+    `system` is a System and `digits` its digits in piece order.  Returns
+    (read-only sample count of each piece, cell volume, edge fraction); the
+    grid itself is dropped, so a memo entry stays small at any resolution.
+    Sample j along axis i sits at int(lo_i * 2R + 2j + 1) / 2R, the cell
+    center truncated toward zero to the 1/2R grid, so the classification is
+    deterministic.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    lo, hi = bounding_box(system.system, system.digits)
-    d = system.system.dim
-    counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(d)]
+    lo, hi = bounding_box(system, system.digits)
+    counts = [max(1, -int(-((hi[i] - lo[i]) * resolution) // 1)) for i in range(system.dim)]
     _check_budget("the raster grid", math.prod(counts))
     den = 2 * resolution
     axes = [[int(lo_i * den + 2 * j + 1) for j in range(c)] for lo_i, c in zip(lo, counts)]
-    return (_pieces(system.system, system.digits, depth, _grid(axes), den).reshape(counts),
-            float(resolution) ** (-d))
+    pieces = _pieces(system, digits, depth, _grid(axes), den).reshape(counts)
+    samples = np.bincount(pieces[pieces >= 0], minlength=len(digits))
+    samples.flags.writeable = False
+    return samples, float(resolution) ** (-system.dim), _edge_fraction(pieces)
 
 
 def _edge_fraction(pieces: np.ndarray) -> float:
@@ -267,16 +271,15 @@ def raster_gram(system: HaarSystem, resolution: int = 64, depth: int = 12):
 
 def _raster_products(system: HaarSystem, resolution: int, depth: int):
     """Raster Gram matrix of (scaling, psi_1, ..., psi_{m-1}), and the edge fraction."""
-    pieces, cell_vol = _sample_pieces(system, resolution, depth)
+    counts, cell_vol, edge = _sample_pieces(system.system, system.digits, resolution, depth)
     coeff = np.array([[1.0] * system.m] + [[c for _, c in row] for row in system.pieces])
     gram = np.zeros((system.m, system.m))
-    counts = np.bincount(pieces[pieces >= 0], minlength=system.m)
     for k, count in enumerate(counts.tolist()):
         if count:
             vals = coeff[:, k]
             gram += count * np.outer(vals, vals)
     gram *= cell_vol
-    return gram, _edge_fraction(pieces)
+    return gram, edge
 
 
 def inner_product(system: HaarSystem, i: int, j: int, method: str = "auto",

@@ -945,9 +945,14 @@ def test_layers_past_int64_take_python_ints(monkeypatch):
     expected = [shift_cover_layers(approximate(m, d, k), window=((-1, 1),) * len(m),
                                    per_cell=True) for m, d, k in cases]
     monkeypatch.setattr(attractor, "INT64_SAFE", 2)
-    for (m, d, k), want in zip(cases, expected):
-        assert shift_cover_layers(approximate(m, d, k), window=((-1, 1),) * len(m),
-                                  per_cell=True) == want
+    # The layers are memoized: recompute them under the patched guard.
+    attractor._cover_layers.cache_clear()
+    try:
+        for (m, d, k), want in zip(cases, expected):
+            assert shift_cover_layers(approximate(m, d, k), window=((-1, 1),) * len(m),
+                                      per_cell=True) == want
+    finally:
+        attractor._cover_layers.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)

@@ -612,6 +612,23 @@ def test_tiling_paints_like_every_box_translate(tmp_path, capsys, matrix, digits
     assert out.read_bytes() == _reference_tiling(matrix, digits, depth, resolution, window)
 
 
+def test_tiling_keys_past_int64_paint_alike(tmp_path, capsys, monkeypatch):
+    # With the guard at 1, unit squares and translates are keyed in Python ints.
+    matrix, digits, window = [[1, 1], [-1, 1]], [[3, 1], [4, 1]], ((-2, 1), (0, 3))
+    want = _reference_tiling(matrix, digits, 8, 8, window)
+    out = tmp_path / "tiling.ppm"
+    monkeypatch.setattr(attractor, "INT64_SAFE", 1)
+    attractor._level.cache_clear()
+    try:
+        code = main(["tile", "render", "--matrix", json.dumps(matrix),
+                     "--digits", json.dumps(digits), "--depth", "8", "--resolution", "8",
+                     "--tiling=-2:1,0:3", "--out", str(out)])
+    finally:
+        attractor._level.cache_clear()   # drop the levels held as Python ints
+    assert code == 0
+    assert out.read_bytes() == want
+
+
 def test_tiling_visits_only_translates_reaching_the_window(tmp_path, capsys):
     # The bounding box of the twindragon with digits x 1001 meets about 2.2 M
     # translates of the window, yet only the 256 cells at depth 8 can reach it.
