@@ -19,7 +19,6 @@ on column sums.  The radius is only displayed: m for a non-tile, else estimated.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from collections.abc import Sequence
@@ -54,56 +53,28 @@ def max_cells_budget() -> int:
     return int(raw)
 
 
-#: The budget checks run so far while a _budget_memo value is computed, else None.
-_checks = contextvars.ContextVar("_checks", default=None)
-
-
-def _check_budget(what, need):
-    """Raise ResourceLimitError when `need` cells exceed the cell budget."""
-    _check_needs([(what, need)])
-
-
-def _check_needs(needs, budget=None):
-    """_check_budget on each (what, need) pair in order, reading the budget once.
-
-    Checks against the cell budget are recorded by the _budget_memo being
-    filled, if any.  `needs` may be lazy: a pair is drawn only once every
-    pair before it has passed.
-    """
-    log = None
+def _check_budget(what, need, budget=None):
+    """Raise ResourceLimitError when `need` cells exceed `budget`, by default the cell budget."""
     if budget is None:
-        log, budget = _checks.get(), max_cells_budget()
-    for what, need in needs:
-        if log is not None:
-            log.append((what, need))
-        if need > budget:
-            raise ResourceLimitError(
-                f"{what} needs up to {need} cells, budget is {budget} (TILEFORGE_MAX_CELLS)")
+        budget = max_cells_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"{what} needs up to {need} cells, budget is {budget} (TILEFORGE_MAX_CELLS)")
 
 
 def _budget_memo(maxsize):
-    """lru_cache for a function of hashable arguments whose hits rerun, in
-    order, every cell-budget check of the call that filled them.
-
-    So a cached value is returned under exactly the budgets, and raises
-    exactly the errors, that computing it again would.  The checks of a
-    nested memo are rerun by it, and so recorded by the memo outside it.
-    """
+    """lru_cache for a function of hashable arguments, keyed also on the raw
+    TILEFORGE_MAX_CELLS string.  A hit comes only from a call that passed every
+    cell-budget check under the same string, and lru_cache stores no exceptions,
+    so under a changed budget the call misses and runs, and fails, as a cold one."""
     def wrap(fn):
         @lru_cache(maxsize=maxsize)
-        def fill(*key):
-            token = _checks.set(log := [])
-            try:
-                return fn(*key), tuple(log)
-            finally:
-                _checks.reset(token)
+        def fill(budget, *key):
+            return fn(*key)
 
         @wraps(fn)
         def memo(*key):
-            value, checks = fill(*key)
-            if checks:
-                _check_needs(checks)
-            return value
+            return fill(os.environ.get("TILEFORGE_MAX_CELLS"), *key)
 
         memo.cache_info, memo.cache_clear = fill.cache_info, fill.cache_clear
         return memo
@@ -370,22 +341,18 @@ def _level(system, t):
 
 
 def _cells_at(system, depth, max_cells=None):
-    """Cells at `depth`, built level by level within `max_cells`, by default
-    the cell budget."""
+    """Cells at `depth`: the depth and then each level's need are checked against
+    `max_cells`, by default the cell budget (read once), before that level is
+    built or read from its cache."""
     if not system.is_expanding:
         raise ValueError("matrix must be expanding")
-    _check_needs(_level_needs(system, depth), max_cells)
-    return _level(system, depth)
-
-
-def _level_needs(system, depth):
-    """The budget checks of the levels up to `depth`, each level built only when drawn."""
+    budget = max_cells_budget() if max_cells is None else max_cells
     # Two distinct shifts add a cell per level, so only one shift reaches a
     # depth past the budget, and its one-cell frontier would never stop it.
-    yield f"depth {depth}", depth
-    # The budget is checked per level whether or not the level is cached.
+    _check_budget(f"depth {depth}", depth, budget)
     for t in range(1, depth + 1):
-        yield f"depth {t}", len(_level(system, t - 1)) * len(system.digits)
+        _check_budget(f"depth {t}", len(_level(system, t - 1)) * len(system.digits), budget)
+    return _level(system, depth)
 
 
 def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
@@ -716,6 +683,15 @@ def self_similarity_residual(approx: AttractorApprox) -> float:
     return len(side1 ^ side2) / len(side1 | side2)
 
 
+def _stand_in_cover(system):
+    """The cover whose sums with the cells stand in for the attractor: the cells
+    alone for a certified tile (a complete residue system mod M^depth), else the
+    geometric unit-cell cover, where boundary cells may deviate."""
+    if system.is_residue_system and _tile_report(system).is_tile:
+        return [(0,) * system.dim]
+    return _unit_cell_cover(system, None)
+
+
 def shift_cover_layers(approx: AttractorApprox, window=None, per_cell: bool = False):
     """Histogram of covering multiplicities of integer translates.
 
@@ -764,14 +740,7 @@ def _cover_layers(system, depth, window):
     if not len(samples):
         raise ValueError("window too small: no unit cell fits inside it at this depth")
     shifted = _int_product(_grid(t_ranges), mk)
-    # A certified tile admits an exact one-layer stand-in: its cells are a
-    # complete residue system mod M^depth.  Otherwise count against the
-    # geometric unit-cell cover, where boundary cells may deviate.
-    if system.is_residue_system and _tile_report(system).is_tile:
-        cover = [(0,) * d]
-    else:
-        cover = _unit_cell_cover(system, None)
-    table = _cover_keys(_level(system, depth), cover)
+    table = _cover_keys(_level(system, depth), _stand_in_cover(system))
     # Sample c lies in the translate by t iff c - M^depth t is a touched cell.
     rows = (samples[:, None, :] - shifted[None, :, :]).reshape(-1, d)
     layers = _has_cells(table, rows).reshape(len(samples), -1).sum(axis=1)

@@ -420,6 +420,9 @@ def cmd_haar_gram(args) -> int:
 
 def cmd_oned_oracle(args) -> int:
     y = oned.as_intset(_parse_int_list(args.set, "set"))
+    attractor._check_budget("the set", y[-1] + 1)
+    if args.n_max is not None:
+        attractor._check_budget("the segment", args.n_max)
     report = {"kind": "oned_oracle", "set": list(y)}
     try:
         n, shifts = oned.tiling_oracle(y, args.n_max)
@@ -432,6 +435,7 @@ def cmd_oned_oracle(args) -> int:
 
 def cmd_oned_classify(args) -> int:
     y = oned.as_intset(_parse_int_list(args.set, "set"))
+    attractor._check_budget("the set", y[-1] + 1)
     report = {"kind": "oned_classify", "set": list(y)}
     try:
         progressions = oned.classify(y)
@@ -446,6 +450,7 @@ def cmd_oned_classify(args) -> int:
 def cmd_oned_enumerate(args) -> int:
     if args.n < 1:
         raise InputError("N must be at least 1")
+    attractor._check_budget("the segment", args.n)
     sets = oned.enumerate_simple(args.n)
     _emit({
         "kind": "oned_enumerate",

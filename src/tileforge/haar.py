@@ -28,8 +28,7 @@ import numpy as np
 
 from . import lattice
 from .attractor import (approximate, bounding_box, _budget_memo, _check_budget, _cover_keys,
-                        _grid, _has_cells, _int_array, _int_product, _tile_report,
-                        _unit_cell_cover, _unravel)
+                        _grid, _has_cells, _int_array, _int_product, _stand_in_cover, _unravel)
 from .boxtile import _box_certificate
 from .lattice import System, mat_pow
 
@@ -310,8 +309,7 @@ def shift_orthonormality(matrix, digits, window: int = 1, depth: int = 12) -> fl
     """
     system = System.of(matrix, digits)
     d = system.dim
-    tile = _tile_report(system).is_tile
-    cover = [(0,) * d] if tile else _unit_cell_cover(system, None)
+    cover = _stand_in_cover(system)
     table = _cover_keys(approximate(system, system.digits, depth).points, cover)
     modulus = abs(system.det) ** depth
     mk = mat_pow(system.matrix, depth)

@@ -186,7 +186,8 @@ def cancel(a, ab_sum):
 def default_search_bound(y) -> int:
     """Default segment-length cap: |Y| * 2^(max(Y) - |Y| + 1), capped at 1e6."""
     ys = as_intset(y)
-    exp = max(ys[-1] - len(ys) + 1, 0)
+    # 1 << 20 already passes the cap, so a larger exponent only costs memory.
+    exp = min(max(ys[-1] - len(ys) + 1, 0), 20)
     return min(len(ys) << exp, 10**6)
 
 

@@ -918,6 +918,14 @@ def test_layers_three_interval_dominant_three():
     assert hist[3] >= 0.9 * sum(hist.values())
 
 
+def test_layers_off_residue_systems_take_the_unit_cell_cover():
+    # {0, 2} is no residue system mod 2 and {0, 1} none mod 3: no tile report is
+    # read, and the cells are counted with the unit-cell cover.
+    assert shift_cover_layers(approximate([[2]], [(0,), (2,)], 6)) == {2: 62, 3: 2}
+    stand_in = attractor._stand_in_cover(System.of([[3]], [(0,), (1,)]))
+    assert attractor.CellView(stand_in) == unit_cell_cover([[3]], [(0,), (1,)])
+
+
 def test_layers_dragon_dominant_one():
     hist, per = shift_cover_layers(approximate(DRAGON_M, DRAGON_D, 12), per_cell=True)
     total = sum(hist.values())

@@ -684,6 +684,18 @@ def test_box_digit_set_over_budget_exits_resource(capsys):
     assert "the box digit set needs up to 10000000000 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oned", "classify", "0,100000000000"],
+    ["oned", "oracle", "0,100000000000"],
+    ["oned", "oracle", "0,3", "--n-max", "100000000000"],
+    ["oned", "enumerate", "1000000007"],
+], ids=["classify", "oracle", "oracle-n-max", "enumerate"])
+def test_oned_over_budget_exits_resource(argv, capsys):
+    # The set, the segment bound and N are bit masks or segments of that many cells.
+    assert main(argv) == 3
+    assert "TILEFORGE_MAX_CELLS" in capsys.readouterr().err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
     | st.text(max_size=3),
@@ -742,4 +754,36 @@ def test_cli_never_raises_on_json_values(command, values, present, tmp_path, cap
         path.write_text(json.dumps(spec), encoding="utf-8")
         argv = [*command.split(), "--spec", str(path)]
     assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
+def _exit_code(argv):
+    """main's exit code, taking an argparse rejection (SystemExit) at its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_NUMBER = (st.integers(-2, 40) | st.integers()).map(str) | st.text(max_size=3)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["oracle", "classify", "enumerate", "lset"]),
+       text=st.lists(st.integers(-2, 40) | st.integers(), max_size=5).map(
+           lambda xs: ",".join(map(str, xs)))
+       | st.text(alphabet="-0123456789,", max_size=12) | st.text(max_size=4),
+       number=_NUMBER, n_max=st.none() | _NUMBER)
+def test_oned_cli_never_raises(command, text, number, n_max, capsys, monkeypatch):
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "300")
+    if command == "enumerate":
+        argv = ["oned", "enumerate", number]
+    else:
+        argv = ["oned", command, text]
+        if command == "oracle" and n_max is not None:
+            argv.append(f"--n-max={n_max}")
+        if command == "lset":
+            argv.append(f"--l={number}")
+    assert _exit_code(argv) in (0, 1, 2, 3)
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Hyperplane bases, wavelet systems, exact and raster inner products."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -291,6 +292,32 @@ def test_shift_orthonormality_three_interval():
     # overlap of [0,3] with [1,4] has measure 2; max deviation approaches 2
     dev = shift_orthonormality([[2]], [(0,), (3,)], depth=12)
     assert abs(dev - 2.0) < 0.01
+
+
+def _overlap_deviation(matrix, stand_in, depth):
+    """shift_orthonormality over the window k in {-1, 0, 1}^d, from a cell set by hand."""
+    step = mat_pow(matrix, depth)
+    modulus = abs(round(np.linalg.det(np.array(matrix, dtype=float)))) ** depth
+    worst = 0.0
+    for k in itertools.product((-1, 0, 1), repeat=len(matrix)):
+        t = mat_vec(step, k)
+        count = sum(tuple(a + b for a, b in zip(z, t)) in stand_in for z in stand_in)
+        worst = max(worst, abs(count / modulus - (0.0 if any(k) else 1.0)))
+    return worst
+
+
+@pytest.mark.parametrize("matrix, digits", [([[2]], [(0,), (2,)]), ([[3]], [(0,), (1,)])])
+def test_shift_orthonormality_off_residue_systems_takes_the_unit_cell_cover(matrix, digits):
+    # Neither digit set is a residue system, so there is no tile report to read:
+    # the overlaps are those of the cells plus the unit-cell cover.
+    touched = attractor.touched_cells(matrix, digits, 6)
+    assert shift_orthonormality(matrix, digits, 1, 6) == _overlap_deviation(matrix, touched, 6)
+
+
+@pytest.mark.parametrize("matrix, digits", [([[2]], [(0,), (1,)]), (DRAGON_M, DRAGON_D)])
+def test_shift_orthonormality_of_a_tile_reads_the_cells_alone(matrix, digits):
+    cells = set(approximate(matrix, digits, 8).cells)
+    assert shift_orthonormality(matrix, digits, 1, 8) == _overlap_deviation(matrix, cells, 8)
 
 
 def test_evaluate_at_denominator_past_int64():
