@@ -25,7 +25,7 @@ from tileforge.haar import (
     shift_orthonormality,
     wavelet_mean,
 )
-from tileforge.lattice import System, mat_pow, mat_vec
+from tileforge.lattice import System, det, mat_pow, mat_vec
 
 DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
@@ -297,7 +297,7 @@ def test_shift_orthonormality_three_interval():
 def _overlap_deviation(matrix, stand_in, depth):
     """shift_orthonormality over the window k in {-1, 0, 1}^d, from a cell set by hand."""
     step = mat_pow(matrix, depth)
-    modulus = abs(round(np.linalg.det(np.array(matrix, dtype=float)))) ** depth
+    modulus = abs(det(matrix)) ** depth
     worst = 0.0
     for k in itertools.product((-1, 0, 1), repeat=len(matrix)):
         t = mat_vec(step, k)

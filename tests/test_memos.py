@@ -1,7 +1,7 @@
 """Memoized covering layers, measure bound and raster-Gram piece grid.
 
 A memo hit must give what a cold call gives, hand callers no shared mutable
-object, and rerun every cell-budget check that a cold call runs, in order.
+object, and under any cell budget fail exactly where a cold call fails.
 """
 
 import json
@@ -194,8 +194,8 @@ def test_warm_cli_exits_like_cold(name, capsys, monkeypatch):
 
 
 def test_memos_filled_concurrently_keep_their_checks(monkeypatch):
-    # Eight threads fill the memos of every call at once; each entry must then
-    # hold the checks of its own cold call, so a lowered budget fails alike.
+    # Eight threads fill the memos of every call at once; a lowered budget must
+    # then fail alike warm and cold.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     names = sorted(CALLS)
