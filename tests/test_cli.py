@@ -696,6 +696,21 @@ def test_oned_over_budget_exits_resource(argv, capsys):
     assert "TILEFORGE_MAX_CELLS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oned", "classify", "0,1"],
+    ["oned", "oracle", "0,1"],
+    ["oned", "enumerate", "4"],
+], ids=["classify", "oracle", "enumerate"])
+def test_oned_malformed_budget_exits_input(argv, capsys, monkeypatch):
+    # These commands check their segments against the budget, so they read it.
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "1e2")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "TILEFORGE_MAX_CELLS" in err and "Traceback" not in err
+    # `oned lset` builds no segment and reads no budget.
+    assert main(["oned", "lset", "0,1", "--l", "2"]) == 0
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
     | st.text(max_size=3),
