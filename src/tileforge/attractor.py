@@ -340,13 +340,12 @@ def _level(system, t):
     return pts
 
 
-def _cells_at(system, depth, max_cells=None):
+def _cells_at(system, depth):
     """Cells at `depth`: the depth and then each level's need are checked against
-    `max_cells`, by default the cell budget (read once), before that level is
-    built or read from its cache."""
+    the cell budget (read once), before that level is built or read from its cache."""
     if not system.is_expanding:
         raise ValueError("matrix must be expanding")
-    budget = max_cells_budget() if max_cells is None else max_cells
+    budget = max_cells_budget()
     # Two distinct shifts add a cell per level, so only one shift reaches a
     # depth past the budget, and its one-cell frontier would never stop it.
     _check_budget(f"depth {depth}", depth, budget)
@@ -355,7 +354,7 @@ def _cells_at(system, depth, max_cells=None):
     return _level(system, depth)
 
 
-def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> AttractorApprox:
+def approximate(matrix, shifts, depth: int) -> AttractorApprox:
     """Depth-K approximation of the attractor for (matrix, shifts).
 
     Work is bounded by a per-level frontier (cells at level t feed level
@@ -365,7 +364,7 @@ def approximate(matrix, shifts, depth: int, max_cells: Optional[int] = None) -> 
     if depth < 1:
         raise ValueError("depth must be >= 1")
     system = System.of(matrix, shifts)
-    cells = _cells_at(system, depth, max_cells)
+    cells = _cells_at(system, depth)
     return AttractorApprox(matrix=system.matrix, shifts=system.digits, depth=depth,
                            points=cells, is_integer=system.is_integer, system=system)
 
@@ -383,6 +382,8 @@ def unit_cell_cover(matrix, shifts, level: Optional[int] = None):
     if its interior meets one of those regions.  Exact rational interval
     arithmetic throughout, so no cell of positive overlap is ever dropped.
     Returns the cells in lexicographic order as a read-only CellView.
+    Raises ResourceLimitError when the candidate grid (the level cells times
+    the product of the largest per-axis ranges) would exceed the cell budget.
     """
     system = System.of(matrix, shifts)
     if not system.is_integer:
@@ -407,7 +408,9 @@ def _unit_cell_cover(system, level):
     big_q = _int_array(q * r)
     first = low // big_q                        # least g with g + 1 > lo
     width = (high - 1) // big_q - first + 1     # up to the greatest g with g < hi
-    offsets = _grid([range(max(int(w), 0)) for w in width.max(axis=0)])
+    spans = [max(int(w), 0) for w in width.max(axis=0)]
+    _check_budget("the unit-cell cover", len(cells) * math.prod(spans))
+    offsets = _grid([range(n) for n in spans])
     keep = (offsets[None] < width[:, None]).all(axis=2)
     rows = (first[:, None] + offsets[None])[keep]
     cover = _unique_rows(rows)[0] if len(rows) else rows

@@ -105,11 +105,9 @@ def suggested_depth(matrix, digits) -> int:
     """Approximation depth for shape detection: enough cells, full rank.
 
     Picks the smallest depth whose cell count is comfortable for hull work
-    and whose cells span the full dimension (digit sets confined to one
-    axis need depth >= d before the cell cloud has full rank).
+    and whose cells span the full dimension (System.span_depth: digit sets
+    confined to one axis need depth >= d), up to max(2 d, 8).
     """
-    from .attractor import approximate
-
     system = System.of(matrix, digits)
     d = system.dim
     m = max(len(digits), 2)
@@ -118,11 +116,9 @@ def suggested_depth(matrix, digits) -> int:
         depth += 1
     while m ** depth < 4 ** d and m ** (depth + 1) <= DEPTH_CELL_BUDGET:
         depth += 1
-    while depth < max(2 * d, 8):
-        cells = approximate(system, system.digits, depth).points.astype(float)
-        if len(cells) >= 2 and np.linalg.matrix_rank(cells - cells[0]) == d:
-            break
-        depth += 1
+    cap = max(2 * d, 8)
+    if depth < cap:
+        depth = max(depth, system.span_depth or cap)
     return depth
 
 
@@ -361,6 +357,7 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
       * the hull volume is consistent with the measure bracket from the
         self-similar cover (interior count below, touched count above).
 
+    Cells short of R^d (System.span_depth) raise DegeneratePointCloudError.
     `tol` must be finite with 0 <= tol < 1, else ValueError.
     """
     if not approx.is_integer:
@@ -377,12 +374,11 @@ def is_parallelepiped(approx: AttractorApprox, tol: float = 0.05) -> Parallelepi
         return ParallelepipedReport(
             is_box=True, edge_vectors=edges, hull_volume=vol, fit_volume=vol,
             measure_estimate=vol, interior_estimate=vol, tol=tol, certified=True)
-    from scipy import ndimage
-
-    rel = approx.points.astype(float)
-    if len(rel) < 2 or np.linalg.matrix_rank(rel - rel[0]) < d:
+    if system.span_depth is None or system.span_depth > approx.depth:
         raise DegeneratePointCloudError(
             "cells span a lower-dimensional subspace; the attractor is degenerate")
+    from scipy import ndimage
+
     scale = abs(system.det) ** approx.depth
     cover = _unit_cell_cover(system, None)
     # The touched cells (cells + cover) as a dense grid over their key box, which

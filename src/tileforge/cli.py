@@ -451,6 +451,7 @@ def cmd_oned_enumerate(args) -> int:
     if args.n < 1:
         raise InputError("N must be at least 1")
     attractor._check_budget("the segment", args.n)
+    attractor._check_budget("the enumeration", oned.enumerated_elements(args.n))
     sets = oned.enumerate_simple(args.n)
     _emit({
         "kind": "oned_enumerate",

@@ -12,8 +12,10 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -155,11 +157,44 @@ class System:
             return False
         return _eigenvalues_expand(self.matrix)
 
+    @cached_property
+    def span_depth(self):
+        """The least K whose depth-K cells span R^d affinely, or None when no K
+        does (fewer than two digits, or a span that stalls below d).
+
+        Their differences span sum_{j<K} M^j span(D - D), a Krylov space that
+        stops growing by K = d.  It is R^d exactly when the Gram matrix
+        G_K = C + M G_{K-1} M^T, G_1 = C = sum v v^T over v = a - D[0], is
+        nonsingular.  Real entries are binary fractions, scaled to integers
+        first; that changes no span.
+        """
+        if len(self.digits) < 2:
+            return None
+        m = _integral_rows(self.matrix)
+        first, *rest = _integral_rows(self.digits)
+        vs = [[x - y for x, y in zip(a, first)] for a in rest]
+        gram = c = [[sum(v[i] * v[j] for v in vs) for j in range(self.dim)]
+                    for i in range(self.dim)]
+        for k in range(1, self.dim + 1):
+            if _bareiss(gram):
+                return k
+            image = mat_mul(mat_mul(m, gram), tuple(zip(*m)))
+            gram = [[x + y for x, y in zip(r, s)] for r, s in zip(c, image)]
+        return None
+
 
 @lru_cache(maxsize=256)
 def _canonical(system):
     """The first System built equal to `system`, so equal inputs share its facts."""
     return system
+
+
+def _integral_rows(rows):
+    """The rows times the least common denominator of their entries, as ints
+    (a float is a binary fraction, so it has one)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    scale = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[int(x * scale) for x in r] for r in rows]
 
 
 def _eigenvalues_expand(matrix) -> bool:

@@ -297,15 +297,29 @@ def progression_family(d_list):
     return out
 
 
-def _ordered_factorizations(n: int):
-    """All ordered tuples of factors >= 2 with the given product."""
-    if n == 1:
-        yield ()
-        return
-    for f in range(2, n + 1):
+def _divisors(n: int):
+    """The divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
+    low, high = [], []
+    f = 1
+    while f * f <= n:
         if n % f == 0:
-            for rest in _ordered_factorizations(n // f):
-                yield (f,) + rest
+            low.append(f)
+            if f * f != n:
+                high.append(n // f)
+        f += 1
+    return low + high[::-1]
+
+
+def _runs(acc, step: int, rest: int):
+    """Every set acc (+) {0, step, ..., step (r - 1)} (+) ... whose factors
+    r_1, g_1, r_2, ... multiply into `rest` with a trailing gap: runs r >= 2
+    and inner gaps g >= 2.  `acc` lies below `step` and is sorted, so each
+    result comes out sorted."""
+    for r in _divisors(rest)[1:]:
+        run = tuple(i * step + x for i in range(r) for x in acc)
+        yield run
+        for g in _divisors(rest // r)[1:-1]:
+            yield from _runs(run, step * r * g, rest // (r * g))
 
 
 def enumerate_simple(n: int):
@@ -313,19 +327,33 @@ def enumerate_simple(n: int):
 
     Direct sums of subsets of progression_family(f) over every ordered
     factorization f of n; includes the trivial {0} and the full segment.
+    Consecutive picked progressions merge into one run, consecutive unpicked
+    ones into one gap, so each set is built once from its leading gap
+    g_0 >= 1, runs and gaps r_1, g_1, ..., r_t >= 2 and a trailing gap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    found = {(0,)}
-    for factors in _ordered_factorizations(n):
-        family = progression_family(factors)
-        for pick in range(1, 1 << len(family)):
-            subset = [family[i] for i in range(len(family)) if pick >> i & 1]
-            acc = (0,)
-            for prog in subset:
-                acc = direct_sum(acc, prog.elements())
-            found.add(tuple(acc))
+    found = [(0,)]
+    for g in _divisors(n):
+        found.extend(_runs((0,), g, n // g))
     return sorted(found)
+
+
+def enumerated_elements(n: int) -> int:
+    """The total size of the sets enumerate_simple(n) returns, without building them."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sizes = {}
+
+    def runs(rest):
+        # Total size of the sets _runs makes from {0} and `rest`.
+        if rest not in sizes:
+            sizes[rest] = sum(r * (1 + sum(runs(rest // (r * g))
+                                           for g in _divisors(rest // r)[1:-1]))
+                              for r in _divisors(rest)[1:])
+        return sizes[rest]
+
+    return 1 + sum(runs(n // g) for g in _divisors(n))
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def test_approximate_checks_expansion_once_per_system(monkeypatch):
         approximate(m, digits, depth)
     assert calls == [m]
     # A non-expanding matrix is refused on every call, before any budget check.
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "1")
     for _ in range(2):
         with pytest.raises(ValueError, match="matrix must be expanding"):
-            approximate([[1, 0], [0, 2]], [(0, 0), (1, 0)], 3, max_cells=1)
+            approximate([[1, 0], [0, 2]], [(0, 0), (1, 0)], 3)
 
 
 def test_equal_inputs_share_one_system_and_its_memos():
@@ -100,22 +101,25 @@ def test_a_system_passed_with_other_digits_is_refused():
             call()
 
 
-def test_approximate_resource_cap():
+def test_approximate_resource_cap(monkeypatch):
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "1000")
     with pytest.raises(ResourceLimitError):
-        approximate([[2]], [(0,), (1,)], 40, max_cells=1000)
+        approximate([[2]], [(0,), (1,)], 40)
 
 
-def test_approximate_budget_holds_for_cached_levels():
+def test_approximate_budget_holds_for_cached_levels(monkeypatch):
     approximate([[2]], [(0,), (5,)], 10)
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "10")
     with pytest.raises(ResourceLimitError):
-        approximate([[2]], [(0,), (5,)], 10, max_cells=10)
+        approximate([[2]], [(0,), (5,)], 10)
 
 
-def test_approximate_one_shift_past_the_budget_depth():
+def test_approximate_one_shift_past_the_budget_depth(monkeypatch):
     # One shift keeps one cell per level, so the per-level check never fires.
+    monkeypatch.setenv("TILEFORGE_MAX_CELLS", "300")
     with pytest.raises(ResourceLimitError):
-        approximate([[2]], [(3,)], 10 ** 12, max_cells=300)
-    assert len(approximate([[2]], [(3,)], 300, max_cells=300).cells) == 1
+        approximate([[2]], [(3,)], 10 ** 12)
+    assert len(approximate([[2]], [(3,)], 300).cells) == 1
 
 
 def test_approximate_concurrent_depths():
@@ -634,14 +638,15 @@ def test_contact_matrix_counts_row_total():
         assert sum(row) <= 4
 
 
-def _reference_cover(m, shifts, level):
-    """The unit-cell cover as one interval product per level cell, in Python ints."""
+def _reference_ranges(m, shifts, level):
+    """The unit-cell cover as one interval product per level cell, in Python
+    ints: each cell's per-axis ranges."""
     d = len(m)
     lo, hi = bounding_box(m, shifts)
     sn, q = inverse_power(m, level)
     r = math.lcm(*(x.denominator for x in (*lo, *hi)))
     blo, bhi = [int(x * r) for x in lo], [int(x * r) for x in hi]
-    marked = set()
+    products = []
     for c in approximate(m, shifts, level).cells:
         ranges = []
         for i in range(d):
@@ -650,8 +655,8 @@ def _reference_cover(m, shifts, level):
             hi_num = base + sum(a * (t if a >= 0 else b) for a, b, t in zip(sn[i], blo, bhi))
             # least g with g + 1 > lo through the greatest g with g < hi
             ranges.append(range(lo_num // (q * r), (hi_num - 1) // (q * r) + 1))
-        marked.update(itertools.product(*ranges))
-    return tuple(sorted(marked))
+        products.append(ranges)
+    return products
 
 
 def _clear_cell_memos():
@@ -663,18 +668,39 @@ def _clear_cell_memos():
 @given(digit_systems(), st.sampled_from([1, 2, 3]), st.booleans())
 def test_unit_cell_cover_matches_per_cell_reference(system, level, patched):
     m, digits = system
-    want = _reference_cover(m, digits, level)
+    products = _reference_ranges(m, digits, level)
+    budget = attractor.max_cells_budget()
+    # The program's grid holds at least these candidates, so a draw skipped here
+    # is one the program refuses too.
+    assume(sum(math.prod(map(len, ranges)) for ranges in products) <= budget)
+    grid = len(products) * math.prod(max(len(ranges[i]) for ranges in products)
+                                     for i in range(len(m)))
     with pytest.MonkeyPatch.context() as mp:
         if patched:
             mp.setattr(attractor, "INT64_SAFE", 1)
         _clear_cell_memos()
         try:
+            if grid > budget:
+                with pytest.raises(ResourceLimitError, match="the unit-cell cover"):
+                    unit_cell_cover(m, digits, level)
+                return
             got = unit_cell_cover(m, digits, level)
         finally:
             _clear_cell_memos()
-    assert got == want
+    assert got == tuple(sorted({g for ranges in products for g in itertools.product(*ranges)}))
     if patched:
         assert got._points.dtype == object
+
+
+def test_unit_cell_cover_grid_past_the_budget_is_refused():
+    # 12 level-1 cells times a largest per-axis range product of about 78M: the
+    # candidate grid would hold 932,219,664 rows, and none is allocated.
+    m = [[0, -6, 10], [15, -12, 18], [9, -8, 12]]
+    digits = [(-15, -30, -20), (-15, -5, -5), (-15, 20, 10), (0, 0, 0), (0, 25, 15),
+              (0, 50, 30), (10, 15, 10), (10, 40, 25), (10, 65, 40), (25, 45, 30),
+              (25, 70, 45), (25, 95, 60)]
+    with pytest.raises(ResourceLimitError, match="the unit-cell cover needs up to 932219664 cells"):
+        unit_cell_cover(m, digits, 1)
 
 
 def test_cell_sets_are_read_only_views():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tileforge import attractor, boxtile, lattice
@@ -377,3 +377,142 @@ def test_box_detect_certifies_scaled_form(capsys):
     assert code == 0
     assert report["is_box"] is True and report["certified"] is True
     assert report["hull_volume"] == 125.0
+
+
+# ---------------------------------------------------------------------------
+# box depth and degeneracy from the digit span
+# ---------------------------------------------------------------------------
+
+def _float_rank_depth(matrix, digits):
+    """suggested_depth as it was before System.span_depth: build the cells at
+    growing depth until their float rank is d."""
+    system = System.of(matrix, digits)
+    d = system.dim
+    m = max(len(digits), 2)
+    depth = 2
+    while m ** (depth + 1) <= 4096 and depth < 8:
+        depth += 1
+    while m ** depth < 4 ** d and m ** (depth + 1) <= boxtile.DEPTH_CELL_BUDGET:
+        depth += 1
+    while depth < max(2 * d, 8):
+        cells = approximate(system, system.digits, depth).points.astype(float)
+        if len(cells) >= 2 and np.linalg.matrix_rank(cells - cells[0]) == d:
+            break
+        depth += 1
+    return depth
+
+
+def _exact_rank(rows):
+    """Rank of rows of numbers by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _superdiagonal_conjugates(form):
+    """(U M U^-1, U c D) for U = I + superdiagonal and c = 1, 3."""
+    m = build_cyclic_matrix(form)
+    n = len(m)
+    u = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    u_inv = [[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)]
+    conj = lattice.mat_mul(lattice.mat_mul(u, m), u_inv)
+    return [(conj, [lattice.mat_vec(u, [c * x for x in a]) for a in box_digits(form)])
+            for c in (1, 3)]
+
+
+def test_suggested_depth_matches_float_rank_on_forms():
+    for form in CRITERION_3_FORMS:
+        systems = [(build_cyclic_matrix(form), box_digits(form)), *_superdiagonal_conjugates(form)]
+        for matrix, digits in systems:
+            assert suggested_depth(matrix, digits) == _float_rank_depth(matrix, digits), form
+
+
+@st.composite
+def _depth_systems(draw, max_dim=4, max_digits=17):
+    """An expanding integer matrix with entries in [-3, 3] and a general,
+    axis-confined or single-digit digit set; many digits keep the depth low."""
+    d = draw(st.integers(1, max_dim))
+    entry = st.integers(-3, 3)
+    m = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(System.of(m).is_expanding)
+    kind = draw(st.sampled_from(["general", "axis", "single"]))
+    coord = st.integers(-9, 9)
+    if kind == "single":
+        return m, [draw(st.tuples(*[coord] * d))]
+    vector = st.tuples(*[coord] * d) if kind == "general" else st.tuples(coord, *[st.just(0)] * (d - 1))
+    n = draw(st.sampled_from([k for k in (2, 3, 4, 6, 9, 13, 17) if k <= max_digits]))
+    return m, draw(st.lists(vector, min_size=n, max_size=n, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_depth_systems())
+def test_suggested_depth_matches_float_rank(system):
+    matrix, digits = system
+    with pytest.MonkeyPatch.context() as mp:
+        # The reference builds cells; skip a span that stalls with many digits.
+        mp.setenv("TILEFORGE_MAX_CELLS", "200000")
+        try:
+            want = _float_rank_depth(matrix, digits)
+        except attractor.ResourceLimitError:
+            assume(False)
+    assert suggested_depth(matrix, digits) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_depth_systems(max_dim=3, max_digits=4))
+def test_span_depth_is_the_least_full_rank_depth(system):
+    matrix, digits = system
+    s = System.of(matrix, digits)
+    ranks = []
+    for depth in range(1, s.dim + 2):
+        cells = approximate(s, s.digits, depth).cells
+        ranks.append(_exact_rank([[x - y for x, y in zip(c, cells[0])] for c in cells]))
+    full = [k for k, rank in enumerate(ranks, 1) if rank == s.dim]
+    assert s.span_depth == (full[0] if full else None)
+    # The span stops growing by depth d.
+    assert ranks[-1] == ranks[-2]
+
+
+@pytest.mark.parametrize("matrix,digits,want", [
+    ([[0.5, 2], [2, 0.5]], [(0, 0), (0.25, 0)], 2),
+    ([[2.5, 0], [0, 3]], [(0, 0), (0.5, 0)], None),
+    ([[2, 0], [0, 2]], [(0, 0), (1, 0)], None),
+    ([[1, 1], [-1, 1]], [(0, 0), (1, 0)], 2),
+    ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], [(0, 0, 0), (1, 0, 0)], 3),
+    ([[3]], [(5,)], None),
+])
+def test_span_depth_of_small_systems(matrix, digits, want):
+    s = System.of(matrix, digits)
+    assert s.span_depth == want
+    for depth in range(1, s.dim + 1):
+        cells = approximate(s, s.digits, depth).points.astype(float)
+        full = len(cells) >= 2 and np.linalg.matrix_rank(cells - cells[0]) == s.dim
+        assert full == (want is not None and depth >= want)
+
+
+def test_suggested_depth_builds_no_cells(monkeypatch):
+    def no_cells(system, t):
+        raise AssertionError("suggested_depth built cells")
+
+    monkeypatch.setattr(attractor, "_level", no_cells)
+    # 17 digits on one axis: depth 2 is enough cells, and the span needs 3.
+    m = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
+    assert suggested_depth(m, [(k, 0, 0) for k in range(17)]) == 3
+    assert suggested_depth([[2, 0], [0, 2]], [(k, 0) for k in range(17)]) == 8
+
+
+def test_degenerate_below_span_depth():
+    # The twindragon's two digits lie on a line; its depth-2 cells span the plane.
+    m, digits = [[1, 1], [-1, 1]], [(0, 0), (1, 0)]
+    with pytest.raises(DegeneratePointCloudError, match="lower-dimensional"):
+        is_parallelepiped(approximate(m, digits, 1))
+    assert not is_parallelepiped(approximate(m, digits, 2)).certified

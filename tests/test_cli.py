@@ -696,6 +696,13 @@ def test_oned_over_budget_exits_resource(argv, capsys):
     assert "TILEFORGE_MAX_CELLS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,total", [("65536", 43046721), ("5040", 5674176)])
+def test_oned_enumerate_output_over_budget_exits_resource(n, total, capsys):
+    # N is within the budget, but the sets enumerate would print are not.
+    assert main(["oned", "enumerate", n]) == 3
+    assert f"the enumeration needs up to {total} cells" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["oned", "classify", "0,1"],
     ["oned", "oracle", "0,1"],

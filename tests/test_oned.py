@@ -260,6 +260,50 @@ def test_enumerate_matches_brute_force(n):
     assert enumerate_simple(n) == brute_force_tilers(n)
 
 
+def _ordered_factorizations(n):
+    """All ordered tuples of factors >= 2 with the given product."""
+    if n == 1:
+        yield ()
+        return
+    for f in range(2, n + 1):
+        if n % f == 0:
+            for rest in _ordered_factorizations(n // f):
+                yield (f,) + rest
+
+
+def reference_enumerate(n):
+    """enumerate_simple as first written: the direct sum of every subset of
+    progression_family(f), over every ordered factorization f of n, with the
+    duplicates removed."""
+    found = {(0,)}
+    for factors in _ordered_factorizations(n):
+        family = progression_family(factors)
+        for pick in range(1, 1 << len(family)):
+            acc = (0,)
+            for i, prog in enumerate(family):
+                if pick >> i & 1:
+                    acc = direct_sum(acc, prog.elements())
+            found.add(tuple(acc))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("ns", [range(1, 101), range(101, 201), [720]])
+def test_enumerate_matches_reference(ns):
+    for n in ns:
+        sets = enumerate_simple(n)
+        assert sets == reference_enumerate(n), n
+        assert oned.enumerated_elements(n) == sum(map(len, sets)), n
+
+
+def test_enumerated_elements_of_large_segments():
+    # The size of the output, counted without building it.
+    assert oned.enumerated_elements(720) == 161_820
+    assert oned.enumerated_elements(5040) == 5_674_176
+    assert oned.enumerated_elements(65536) == 43_046_721
+    with pytest.raises(ValueError):
+        oned.enumerated_elements(0)
+
+
 def test_classify_oracle_cross_agreement():
     # sampled 0-containing subsets of {0..17}: classification succeeds
     # exactly when the bounded tiling search does
