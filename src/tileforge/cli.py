@@ -250,16 +250,16 @@ def _blank_image(width, height):
     return np.full((height, width, 3), 255, dtype=np.uint8)
 
 
-def cmd_tile_render(args) -> int:
-    system, _, params = _matrix_digits_from(args)
-    depth = _positive(args, params, "depth", 12)
-    resolution = _positive(args, params, "resolution", 64)
-    if system.dim != 2:
-        raise InputError("render supports two-dimensional systems")
+@attractor._budget_memo(maxsize=16)
+def _render(system, depth, resolution, tiling):
+    """The read-only (h, w, 3) uint8 image of `tile render` and its occupied
+    pixels.  `tiling` is the raw --tiling text, or None for the plain image;
+    it is parsed after the cells are built, as a cold render always did.  At
+    worst the memo holds 16 images of the cell budget's pixels times 3 bytes."""
     approx = attractor.approximate(system, system.digits, depth)
     gx, gy = attractor.grid_indices(approx, resolution, (0, 0)).astype(np.int64)
-    if args.tiling:
-        window = _parse_window(args.tiling)
+    if tiling:
+        window = _parse_window(tiling)
         if len(window) != 2:
             raise InputError("--tiling window must be two-dimensional")
         (x0, x1), (y0, y1) = window
@@ -297,8 +297,18 @@ def cmd_tile_render(args) -> int:
         width, height = int(gx.max() - ox) + 1, int(gy.max() - oy) + 1
         img = _blank_image(width, height)
         img[height - 1 - (gy - oy), gx - ox] = PALETTE[0]
+    img.flags.writeable = False
+    return img, int(np.count_nonzero(np.any(img != 255, axis=2)))
+
+
+def cmd_tile_render(args) -> int:
+    system, _, params = _matrix_digits_from(args)
+    depth = _positive(args, params, "depth", 12)
+    resolution = _positive(args, params, "resolution", 64)
+    if system.dim != 2:
+        raise InputError("render supports two-dimensional systems")
+    img, occupied = _render(system, depth, resolution, args.tiling)
     write_ppm(args.out, img)
-    occupied = int(np.count_nonzero(np.any(img != 255, axis=2)))
     _emit({
         "kind": "render",
         "out": args.out,

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_scaled_map import _vectors, expanding_matrices
 
-from tileforge import attractor, haar, lattice
+from tileforge import attractor, cli, haar, lattice
 from tileforge.attractor import (
     ResourceLimitError,
     approximate,
@@ -33,6 +33,7 @@ DRAGON_M = ((1, 1), (-1, 1))
 DRAGON_D = ((0, 0), (1, 0))
 RECT_M = ((0, -2), (1, 0))
 RECT_D = ((0, 0), (1, 0))
+INT64 = np.iinfo(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,8 @@ def test_memo_caches_concurrent():
 
     def clear():
         for memo in (attractor._bounding_box_exact, attractor._unit_cell_cover,
-                     attractor._level, haar._piece_tables, lattice._inverse_power):
+                     attractor._level, haar._piece_tables, lattice._inverse_power,
+                     cli._render):
             memo.cache_clear()
 
     def results(start):
@@ -687,7 +689,17 @@ def test_unit_cell_cover_matches_per_cell_reference(system, level, patched):
             got = unit_cell_cover(m, digits, level)
         finally:
             _clear_cell_memos()
-    assert got == tuple(sorted({g for ranges in products for g in itertools.product(*ranges)}))
+    if all(INT64.min <= r.start and r.stop <= INT64.max for ranges in products for r in ranges):
+        want = np.concatenate([
+            np.stack(np.meshgrid(*(np.arange(r.start, r.stop, dtype=np.int64) for r in ranges),
+                                 indexing="ij"), axis=-1).reshape(-1, len(m))
+            for ranges in products])
+        # Distinct rows in lexicographic order (np.unique(axis=0) sorts far slower).
+        want = want[np.lexsort(want.T[::-1])]
+        want = want[np.r_[True, np.any(want[1:] != want[:-1], axis=1)]]
+        assert np.array_equal(got._points, want)
+    else:
+        assert got == tuple(sorted({g for ranges in products for g in itertools.product(*ranges)}))
     if patched:
         assert got._points.dtype == object
 

@@ -617,15 +617,28 @@ def test_tiling_keys_past_int64_paint_alike(tmp_path, capsys, monkeypatch):
     matrix, digits, window = [[1, 1], [-1, 1]], [[3, 1], [4, 1]], ((-2, 1), (0, 3))
     want = _reference_tiling(matrix, digits, 8, 8, window)
     out = tmp_path / "tiling.ppm"
+    dtypes = set()
+    real = attractor._exact_keys
+
+    def spy(*args):
+        keys = real(*args)
+        dtypes.add(keys.dtype)
+        return keys
+
+    monkeypatch.setattr(attractor, "_exact_keys", spy)
     monkeypatch.setattr(attractor, "INT64_SAFE", 1)
+    # The image is memoized: render it afresh under the patched guard.
+    cli._render.cache_clear()
     attractor._level.cache_clear()
     try:
         code = main(["tile", "render", "--matrix", json.dumps(matrix),
                      "--digits", json.dumps(digits), "--depth", "8", "--resolution", "8",
                      "--tiling=-2:1,0:3", "--out", str(out)])
     finally:
+        cli._render.cache_clear()
         attractor._level.cache_clear()   # drop the levels held as Python ints
     assert code == 0
+    assert dtypes == {np.dtype(object)}
     assert out.read_bytes() == want
 
 

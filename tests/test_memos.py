@@ -1,4 +1,4 @@
-"""Memoized covering layers, measure bound and raster-Gram piece grid.
+"""Memoized covering layers, measure bound, raster-Gram piece grid and render images.
 
 A memo hit must give what a cold call gives, hand callers no shared mutable
 object, and under any cell budget fail exactly where a cold call fails.
@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from tileforge import attractor, haar
+from tileforge import attractor, cli, haar
 from tileforge.attractor import (
     ResourceLimitError,
     approximate,
@@ -30,7 +30,7 @@ DEPTH, RESOLUTION = 6, 16
 
 MEMOS = (attractor._level, attractor._bounding_box_exact, attractor._unit_cell_cover,
          attractor._tile_report, attractor._cover_count, attractor._cover_layers,
-         haar._piece_tables, haar._sample_pieces)
+         haar._piece_tables, haar._sample_pieces, cli._render)
 
 
 def clear_memos():
@@ -222,3 +222,124 @@ def test_memos_filled_concurrently_keep_their_checks(monkeypatch):
     warm = {name: _outcome(CALLS[name]) for name in names}
     clear_memos()
     assert warm == {name: _outcome(CALLS[name]) for name in names}
+
+
+#: Render systems: the twindragon, its digits x 3 (overlapping) and one with no zero digit.
+RENDER_SYSTEMS = {
+    "dragon": SYSTEMS["dragon"],
+    "dragon_x3": SYSTEMS["dragon_x3"],
+    "no_zero": (DRAGON_M, ((3, 1), (4, 1))),
+}
+TILINGS = {"plain": [], "tiling": ["--tiling=0:2,0:2"]}
+
+
+def _render_argv(system, out, *extra, depth=8):
+    matrix, digits = system
+    return ["tile", "render", "--matrix", json.dumps(matrix), "--digits", json.dumps(digits),
+            "--depth", str(depth), "--resolution", "16", *extra, "--out", str(out)]
+
+
+def _run_render(argv, out, capsys):
+    """Exit code, stdout, stderr and the PPM bytes (None when none was written)."""
+    out.unlink(missing_ok=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+@pytest.mark.parametrize("name", sorted(RENDER_SYSTEMS))
+def test_warm_render_equals_cold(name, tiling, tmp_path, capsys):
+    out = tmp_path / "render.ppm"
+    argv = _render_argv(RENDER_SYSTEMS[name], out, *TILINGS[tiling])
+    cold = _run_render(argv, out, capsys)
+    assert cold[0] == 0 and cold[3]
+    assert _run_render(argv, out, capsys) == cold
+    clear_memos()
+    assert _run_render(argv, out, capsys) == cold
+
+
+def test_render_image_is_read_only():
+    system = attractor.System.of(*SYSTEMS["dragon"])
+    for tiling in (None, "0:2,0:2"):
+        img, occupied = cli._render(system, DEPTH, RESOLUTION, tiling)
+        assert img.dtype == "uint8" and img.ndim == 3 and occupied > 0
+        with pytest.raises(ValueError):
+            img[0, 0] = 0
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+def test_warm_render_checks_the_budget_like_a_cold_render(tiling, tmp_path, capsys, monkeypatch):
+    # The plain twindragon at depth 8 and resolution 16 is 21 x 26 = 546 pixels;
+    # its tiling image is 32 x 32.
+    out = tmp_path / "render.ppm"
+    argv = _render_argv(SYSTEMS["dragon"], out, *TILINGS[tiling])
+    codes = []
+    for budget in ("4", "545", "546", "1e2", "abc"):
+        monkeypatch.delenv("TILEFORGE_MAX_CELLS", raising=False)
+        clear_memos()
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("TILEFORGE_MAX_CELLS", budget)
+        warm = _run_render(argv, out, capsys)
+        clear_memos()
+        assert warm == _run_render(argv, out, capsys), budget
+        if warm[0] in (2, 3):
+            assert warm[3] is None and "TILEFORGE_MAX_CELLS" in warm[2]
+        codes.append(warm[0])
+    assert codes == ([3, 3, 0, 2, 2] if tiling == "plain" else [3, 3, 3, 2, 2])
+
+
+def test_render_past_the_budget_exits_before_a_malformed_window(tmp_path, capsys):
+    # 2^100 cells exit 3 before the window is read, cold and warm.
+    out = tmp_path / "render.ppm"
+    system = SYSTEMS["dragon"]
+    argv = _render_argv(system, out, "--tiling=garbage", depth=100)
+    cold = _run_render(argv, out, capsys)
+    assert cold[0] == 3 and cold[3] is None
+    for extra in TILINGS.values():
+        assert _run_render(_render_argv(system, out, *extra), out, capsys)[0] == 0
+    assert _run_render(_render_argv(system, out, "--tiling=garbage"), out, capsys)[0] == 2
+    assert _run_render(argv, out, capsys) == cold
+
+
+def test_renders_filled_concurrently_match_serial(tmp_path, capsys):
+    # Eight threads render eight systems, plain and tiled, each to its own
+    # files and in its own order, so the 16 images fill the memo at once.
+    cases = [_render_argv((DRAGON_M, ((0, 0), (c, 0))), "{out}", *extra, depth=6)
+             for c in (1, 3, 5, 7, 9, 11, 13, 15) for extra in TILINGS.values()]
+
+    def render(k, out):
+        return main([out if a == "{out}" else a for a in cases[k]])
+
+    serial = []
+    for k in range(len(cases)):
+        assert render(k, str(tmp_path / "serial.ppm")) == 0
+        serial.append((tmp_path / "serial.ppm").read_bytes())
+    clear_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(len(cases)):
+                k = (i + j) % len(cases)
+                if render(k, str(tmp_path / f"{i}-{k}.ppm")) != 0:
+                    errors.append((i, k))
+        except Exception as exc:   # reported by the assertion below
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert errors == []
+    assert all((tmp_path / f"{i}-{k}.ppm").read_bytes() == serial[k]
+               for i in range(8) for k in range(len(cases)))
