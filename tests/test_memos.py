@@ -306,11 +306,12 @@ def test_render_past_the_budget_exits_before_a_malformed_window(tmp_path, capsys
 def test_renders_filled_concurrently_match_serial(tmp_path, capsys):
     # Eight threads render eight systems, plain and tiled, each to its own
     # files and in its own order, so the 16 images fill the memo at once.
-    cases = [_render_argv((DRAGON_M, ((0, 0), (c, 0))), "{out}", *extra, depth=6)
+    cases = [((DRAGON_M, ((0, 0), (c, 0))), extra)
              for c in (1, 3, 5, 7, 9, 11, 13, 15) for extra in TILINGS.values()]
 
     def render(k, out):
-        return main([out if a == "{out}" else a for a in cases[k]])
+        system, extra = cases[k]
+        return main(_render_argv(system, out, *extra, depth=6))
 
     serial = []
     for k in range(len(cases)):
