@@ -5,6 +5,7 @@ object, and under any cell budget fail exactly where a cold call fails.
 """
 
 import json
+import os
 import sys
 import threading
 
@@ -99,7 +100,8 @@ def test_memoized_arrays_are_read_only():
     system = attractor.System.of(matrix, digits)
     samples, layers = attractor._cover_layers(system, DEPTH, ((0, 1), (0, 1)))
     counts, _, _ = haar._sample_pieces(system, digits, RESOLUTION, DEPTH)
-    for a in (samples, layers, counts):
+    images = [cli._render(system, DEPTH, RESOLUTION, tiling)[0] for tiling in (None, "0:2,0:2")]
+    for a in (samples, layers, counts, *images):
         with pytest.raises(ValueError):
             a.flat[0] = 1
 
@@ -115,6 +117,12 @@ def _wavelets(name):
     return haar.build_wavelets(*SYSTEMS[name])
 
 
+def _image(tiling):
+    img, occupied = cli._render(attractor.System.of(*SYSTEMS["dragon"]), DEPTH, RESOLUTION,
+                                tiling)
+    return img.tobytes(), occupied
+
+
 #: One call per memo path; each reads one or more memos filled by the calls it makes.
 CALLS = {
     "unit_cell_cover": lambda: unit_cell_cover(*SYSTEMS["dragon"]),
@@ -127,6 +135,8 @@ CALLS = {
     "inner_product": lambda: haar.inner_product(_wavelets("three"), 1, 1, "raster",
                                                 RESOLUTION, DEPTH),
     "evaluate": lambda: haar.evaluate(_wavelets("dragon"), 1, (0.25, 0.25), DEPTH),
+    "render": lambda: _image(None),
+    "render_tiling": lambda: _image("0:2,0:2"),
 }
 BUDGETS = ["1e2", "0", "1", "4", "7", "16", "40", "64", "100", "256", "700", "1024", "5000",
            "100000"]
@@ -176,6 +186,8 @@ CLI_CASES = {
     "tile_measure": (["tile", "measure", *_args("three"), "--depth", "8"], 0),
     "haar_gram": (["haar", "gram", *_args("dragon"), "--method", "raster",
                    "--resolution", "32", "--depth", "8"], 0),
+    "tile_render": (["tile", "render", *_args("dragon"), "--depth", "8", "--resolution", "16",
+                     "--tiling=0:2,0:2", "--out", os.devnull], 0),
 }
 
 
@@ -259,37 +271,6 @@ def test_warm_render_equals_cold(name, tiling, tmp_path, capsys):
     assert _run_render(argv, out, capsys) == cold
 
 
-def test_render_image_is_read_only():
-    system = attractor.System.of(*SYSTEMS["dragon"])
-    for tiling in (None, "0:2,0:2"):
-        img, occupied = cli._render(system, DEPTH, RESOLUTION, tiling)
-        assert img.dtype == "uint8" and img.ndim == 3 and occupied > 0
-        with pytest.raises(ValueError):
-            img[0, 0] = 0
-
-
-@pytest.mark.parametrize("tiling", sorted(TILINGS))
-def test_warm_render_checks_the_budget_like_a_cold_render(tiling, tmp_path, capsys, monkeypatch):
-    # The plain twindragon at depth 8 and resolution 16 is 21 x 26 = 546 pixels;
-    # its tiling image is 32 x 32.
-    out = tmp_path / "render.ppm"
-    argv = _render_argv(SYSTEMS["dragon"], out, *TILINGS[tiling])
-    codes = []
-    for budget in ("4", "545", "546", "1e2", "abc"):
-        monkeypatch.delenv("TILEFORGE_MAX_CELLS", raising=False)
-        clear_memos()
-        assert main(argv) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("TILEFORGE_MAX_CELLS", budget)
-        warm = _run_render(argv, out, capsys)
-        clear_memos()
-        assert warm == _run_render(argv, out, capsys), budget
-        if warm[0] in (2, 3):
-            assert warm[3] is None and "TILEFORGE_MAX_CELLS" in warm[2]
-        codes.append(warm[0])
-    assert codes == ([3, 3, 0, 2, 2] if tiling == "plain" else [3, 3, 3, 2, 2])
-
-
 def test_render_past_the_budget_exits_before_a_malformed_window(tmp_path, capsys):
     # 2^100 cells exit 3 before the window is read, cold and warm.
     out = tmp_path / "render.ppm"
@@ -301,46 +282,3 @@ def test_render_past_the_budget_exits_before_a_malformed_window(tmp_path, capsys
         assert _run_render(_render_argv(system, out, *extra), out, capsys)[0] == 0
     assert _run_render(_render_argv(system, out, "--tiling=garbage"), out, capsys)[0] == 2
     assert _run_render(argv, out, capsys) == cold
-
-
-def test_renders_filled_concurrently_match_serial(tmp_path, capsys):
-    # Eight threads render eight systems, plain and tiled, each to its own
-    # files and in its own order, so the 16 images fill the memo at once.
-    cases = [((DRAGON_M, ((0, 0), (c, 0))), extra)
-             for c in (1, 3, 5, 7, 9, 11, 13, 15) for extra in TILINGS.values()]
-
-    def render(k, out):
-        system, extra = cases[k]
-        return main(_render_argv(system, out, *extra, depth=6))
-
-    serial = []
-    for k in range(len(cases)):
-        assert render(k, str(tmp_path / "serial.ppm")) == 0
-        serial.append((tmp_path / "serial.ppm").read_bytes())
-    clear_memos()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    errors = []
-
-    def work(i):
-        try:
-            for j in range(len(cases)):
-                k = (i + j) % len(cases)
-                if render(k, str(tmp_path / f"{i}-{k}.ppm")) != 0:
-                    errors.append((i, k))
-        except Exception as exc:   # reported by the assertion below
-            errors.append(exc)
-
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    capsys.readouterr()
-    assert errors == []
-    assert all((tmp_path / f"{i}-{k}.ppm").read_bytes() == serial[k]
-               for i in range(8) for k in range(len(cases)))
